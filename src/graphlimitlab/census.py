@@ -23,6 +23,7 @@ from .errors import BudgetError, ValidationError
 from .graphs import (
     ForbiddenFamily,
     SimpleGraph,
+    _ExtensionPlan,
     all_pairs,
     automorphism_count,
     canonical_key,
@@ -40,7 +41,6 @@ from .rng import (
 LABELED_DIRECT_BUDGET = 6
 CENSUS_BUDGET = 10
 UNIFORM_EXACT_BUDGET = 6
-ENSEMBLE_PAIR_BUDGET = 20
 DEFAULT_CANDIDATE_BUDGET = 2_000_000
 
 
@@ -67,77 +67,6 @@ class CountResult:
 # ---------------------------------------------------------------------------
 # Anchored membership tests
 # ---------------------------------------------------------------------------
-
-class _ExtensionPlan:
-    """Static search plan: embed one member starting from fixed anchors.
-
-    ``order`` lists the member's vertices, anchors first; for each later
-    position, ``earlier_neighbors`` holds the positions of its already
-    placed neighbors (only member-edges constrain the embedding) and
-    ``degrees`` its degree requirement.
-    """
-
-    __slots__ = ("size", "anchors", "degrees", "earlier_neighbors")
-
-    def __init__(self, F_adj: list, F_deg: list, anchors: list):
-        size = len(F_adj)
-        order = list(anchors)
-        placed = set(order)
-        while len(order) < size:
-            best, best_key = -1, None
-            for a in range(size):
-                if a in placed:
-                    continue
-                attached = sum(1 for b in order if F_adj[a] >> b & 1)
-                key = (attached, F_deg[a], -a)
-                if best_key is None or key > best_key:
-                    best, best_key = a, key
-            order.append(best)
-            placed.add(best)
-        position = {a: p for p, a in enumerate(order)}
-        self.size = size
-        self.anchors = len(anchors)
-        self.degrees = [F_deg[a] for a in order]
-        self.earlier_neighbors = [
-            [position[b] for b in range(size)
-             if F_adj[order[p]] >> b & 1 and position[b] < p]
-            for p in range(size)
-        ]
-
-    def embeds(self, adj: list, deg: list, anchor_images: tuple) -> bool:
-        """Backtracking injective extension of the anchored partial map."""
-        n_g = len(adj)
-        if self.size > n_g:
-            return False
-        for p, v in enumerate(anchor_images):
-            if self.degrees[p] > deg[v]:
-                return False
-        images = list(anchor_images) + [0] * (self.size - self.anchors)
-        used = 0
-        for v in anchor_images:
-            used |= 1 << v
-        degrees = self.degrees
-        earlier = self.earlier_neighbors
-
-        def rec(p: int, used: int) -> bool:
-            if p == self.size:
-                return True
-            need = degrees[p]
-            required = 0
-            for q in earlier[p]:
-                required |= 1 << images[q]
-            for t in range(n_g):
-                if used >> t & 1 or deg[t] < need:
-                    continue
-                if required & ~adj[t]:
-                    continue
-                images[p] = t
-                if rec(p + 1, used | 1 << t):
-                    return True
-            return False
-
-        return rec(self.anchors, used)
-
 
 class AnchoredOracle:
     """Incremental family-freeness tests for graphs known to be family-free.
@@ -256,7 +185,9 @@ def census_representatives(fam: ForbiddenFamily, n: int,
     one new vertex with every possible neighborhood; extensions that stay
     family-free (valid to test incrementally because the class is
     monotone) are deduplicated by canonical form.  n <= 10, and the number
-    of processed extensions is capped by ``max_candidates``.
+    of extensions over all levels 1..n is capped by ``max_candidates``;
+    cached levels are charged too, so the outcome never depends on which
+    censuses were computed earlier.
     """
     if n > CENSUS_BUDGET:
         raise BudgetError(f"census limited to n <= {CENSUS_BUDGET}")
@@ -269,6 +200,12 @@ def census_representatives(fam: ForbiddenFamily, n: int,
     oracle = AnchoredOracle(fam)
     candidates = 0
     for m in range(1, n + 1):
+        # level m extends each representative on m-1 vertices in 2^(m-1) ways
+        candidates += len(levels[m - 1]) << (m - 1)
+        if candidates > max_candidates:
+            raise BudgetError(
+                f"census exceeded the candidate budget {max_candidates}"
+            )
         if m in levels:
             continue
         reps = []
@@ -277,11 +214,6 @@ def census_representatives(fam: ForbiddenFamily, n: int,
             base_adj = G.adjacency_masks()
             base_deg = G.degrees()
             for subset in range(1 << (m - 1)):
-                candidates += 1
-                if candidates > max_candidates:
-                    raise BudgetError(
-                        f"census exceeded the candidate budget {max_candidates}"
-                    )
                 adj = base_adj + [subset]
                 deg = base_deg + [0]
                 extra = 0
@@ -410,51 +342,14 @@ def mcmc_sample(fam: ForbiddenFamily, n: int, steps: int,
     """
     if steps < 0:
         raise ValidationError("steps must be nonnegative")
-    if n < 1:
-        raise ValidationError("need at least one vertex")
-    if not is_family_free(SimpleGraph.empty(n), fam):
-        raise ValidationError("the class has no graphs at this size")
-    pairs = all_pairs(n)
-    npairs = len(pairs)
-    if npairs == 0:
-        return SimpleGraph.empty(n)
-
-    stream = CounterStream(seed)
-    oracle = AnchoredOracle(fam)
-    adj = [0] * n
-    deg = [0] * n
-    edges: set = set()
-    for t in range(steps):
-        if stream.raw(2 * t) >> 63:
-            continue
-        e = stream.raw(2 * t + 1) % npairs
-        i, j = pairs[e]
-        if adj[i] >> j & 1:
-            adj[i] &= ~(1 << j)
-            adj[j] &= ~(1 << i)
-            deg[i] -= 1
-            deg[j] -= 1
-            edges.remove((i, j))
-        else:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-            deg[i] += 1
-            deg[j] += 1
-            if oracle.edge_ok(adj, deg, i, j):
-                edges.add((i, j))
-            else:
-                adj[i] &= ~(1 << j)
-                adj[j] &= ~(1 << i)
-                deg[i] -= 1
-                deg[j] -= 1
-    return SimpleGraph(n, frozenset(edges))
+    return mcmc_trace(fam, n, [steps], seed)[0]
 
 
 def mcmc_trace(fam: ForbiddenFamily, n: int, checkpoints,
                seed: SampleSeed) -> list:
     """States of one Metropolis chain at the requested step counts.
 
-    Runs the same chain as ``mcmc_sample`` up to max(checkpoints) and
+    Runs the chain described in ``mcmc_sample`` up to max(checkpoints) and
     snapshots the graph after each requested number of steps, so a single
     burn-in can serve several thinned samples.
     """

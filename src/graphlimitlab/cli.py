@@ -53,7 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, help="single size")
         p.add_argument("--sizes", help="comma-separated sizes")
         p.add_argument("--samples", type=int, help="samples per size")
-        p.add_argument("--steps", type=int, help="MCMC steps")
         p.add_argument("--burnin", type=int, help="MCMC burn-in steps")
         p.add_argument("--gap", type=int, help="MCMC thinning gap")
         p.add_argument("--seed", type=int, help="master seed")
@@ -64,7 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("entropy", help="entropy of a graphon"))
     p = common(sub.add_parser("cutdist", help="cut distance of two graphons"))
     p.add_argument("--graphon2", help="second graphon JSON path")
-    p.add_argument("--mode", choices=["exact", "local"], default="exact")
+    p.add_argument("--mode", choices=["exact", "local"],
+                   help="alignment mode (default exact)")
     p = common(sub.add_parser("count", help="exact counts of a family-free class"))
     p.add_argument("--dump", help="write census representatives as graph6")
     common(sub.add_parser("sample", help="sample W-random graphs as graph6"))
@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--compare-crs", action="store_true",
                    help="also count the r-colorable class")
     p = common(sub.add_parser("audit", help="entropy audit of block graphons"))
-    p.add_argument("--tmax", type=int, default=8)
+    p.add_argument("--tmax", type=int, help="largest block count (default 8)")
     p = common(sub.add_parser("couple", help="coupled sampling demonstration"))
     p.add_argument("--graphon2", help="second (upper) graphon JSON path")
     return parser
@@ -87,6 +87,12 @@ def _merge_config(args: argparse.Namespace) -> dict:
             loaded = json.load(handle)
         if not isinstance(loaded, dict):
             raise ValidationError("--config must hold a JSON object")
+        # the namespace holds every destination of the subcommand's parser
+        unknown = sorted(set(loaded) - (set(vars(args)) - {"command", "config"}))
+        if unknown:
+            raise ValidationError(
+                f"unknown --config keys for {args.command}: {', '.join(unknown)}"
+            )
         merged.update(loaded)
     for key, value in vars(args).items():
         if key in ("command", "config"):
@@ -145,9 +151,10 @@ def _run(args: argparse.Namespace) -> int:
     if command == "cutdist":
         if not (options.get("graphon") and options.get("graphon2")):
             raise ValidationError("need --graphon and --graphon2")
-        mode = (AlignmentMode.EXACT_PERMUTATION
-                if options.get("mode", "exact") == "exact"
-                else AlignmentMode.LOCAL_SEARCH)
+        mode = {"exact": AlignmentMode.EXACT_PERMUTATION,
+                "local": AlignmentMode.LOCAL_SEARCH}.get(options.get("mode", "exact"))
+        if mode is None:
+            raise ValidationError("mode must be 'exact' or 'local'")
         value = cut_distance(
             load_graphon(options["graphon"]), load_graphon(options["graphon2"]),
             mode=mode, seed=SampleSeed(int(options.get("seed", 0))),

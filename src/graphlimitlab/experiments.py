@@ -40,7 +40,7 @@ from .graphon import (
     make_wrs,
     pointwise_leq,
 )
-from .graphs import ForbiddenFamily, SimpleGraph, coloring_number, crs_member, load_family
+from .graphs import ForbiddenFamily, SimpleGraph, coloring_number, crs_member
 from .rng import SampleSeed, SequentialDraws
 from .sampler import sample_coupled, sample_wrandom
 
@@ -65,7 +65,6 @@ class ExperimentConfig:
     """
 
     family: Optional[ForbiddenFamily] = None
-    family_path: Optional[str] = None
     sizes: Sequence[int] = (20, 40, 80)
     samples: int = 20
     burnin: Optional[int] = None
@@ -86,6 +85,9 @@ class ExperimentConfig:
             raise ValidationError("sizes must be strictly increasing")
         if self.samples < 1:
             raise ValidationError("samples must be >= 1")
+        if self.samples > _STRIDE:
+            # stream ids are base + size index * _STRIDE + sample index
+            raise ValidationError(f"samples must be <= {_STRIDE}")
         if self.r_override is not None and self.r_override < 1:
             raise ValidationError("r override must be >= 1")
         if self.chain_mode not in ("independent", "thinned"):
@@ -94,9 +96,7 @@ class ExperimentConfig:
     def resolved_family(self) -> ForbiddenFamily:
         if self.family is not None:
             return self.family
-        if self.family_path is not None:
-            return load_family(self.family_path)
-        raise ValidationError("no family given (family or family_path)")
+        raise ValidationError("no family given")
 
     def burnin_for(self, n: int) -> int:
         if self.burnin is not None:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
 from enum import Enum
 from fractions import Fraction
 from itertools import permutations
@@ -50,7 +49,10 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, float):
         return Fraction(value)  # exact binary value
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass  # not a rational literal, or a zero denominator
     raise ValidationError(f"cannot interpret {value!r} as a block measure")
 
 
@@ -104,17 +106,6 @@ class _StepFunction:
             acc += m
             cuts.append(acc)
         return cuts
-
-    def block_index(self, x) -> int:
-        """Index of the block containing x in [0,1) (last block includes 1)."""
-        frac = _as_fraction(x)
-        if not 0 <= frac <= 1:
-            raise ValidationError("point outside [0,1]")
-        cuts = self.boundaries()
-        return min(bisect_right(cuts, frac), self.k - 1)
-
-    def value_at(self, x, y) -> float:
-        return float(self.values[self.block_index(x), self.block_index(y)])
 
     def __eq__(self, other) -> bool:
         return (
@@ -500,6 +491,11 @@ def graphon_from_json_dict(data: dict) -> StepGraphon:
         flat = data["values"]
     except (KeyError, TypeError) as exc:
         raise ValidationError("graphon JSON needs 'measures' and 'values'") from exc
+    if not isinstance(measures, list) or not isinstance(flat, list):
+        raise ValidationError("graphon 'measures' and 'values' must be lists")
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+               for v in flat):
+        raise ValidationError("graphon 'values' must all be numbers")
     k = len(measures)
     if len(flat) != k * k:
         raise ValidationError("'values' must hold k*k row-major entries")

@@ -4,6 +4,10 @@ Contains the SimpleGraph value type, subgraph containment (non-induced
 throughout), exact chromatic number, clique/independent-set partitions,
 a homegrown canonical form with automorphism counting, and graph6 I/O.
 
+One subgraph-embedding engine, ``_ExtensionPlan``, serves both
+``contains_subgraph`` (a plan with no anchors) and the anchored
+incremental tests of ``census.AnchoredOracle``.
+
 All exact searches carry explicit vertex budgets and raise BudgetError
 beyond them rather than approximating.
 """
@@ -147,16 +151,10 @@ def mask_from_graph(G: SimpleGraph, pairs: list) -> int:
 def contains_subgraph(G: SimpleGraph, F: SimpleGraph) -> bool:
     """True iff some subgraph of G (not necessarily induced) is isomorphic to F.
 
-    Backtracking injective homomorphism search: F-edges must map onto
-    G-edges, F-non-edges are unconstrained.  F-vertices are matched in a
-    connectivity-first, high-degree-first order; candidates are pruned by
-    degree and by adjacency to already-placed vertices.
+    After a sorted-degree pre-check, an extension plan with no anchors
+    searches for an injective homomorphism: F-edges must map onto G-edges,
+    F-non-edges are unconstrained.
     """
-    if F.n > G.n:
-        return False
-    if F.n == 0:
-        return True
-
     deg_f = F.degrees()
     deg_g = G.degrees()
     # sorted-degree domination: the k-th largest F-degree cannot exceed
@@ -164,60 +162,86 @@ def contains_subgraph(G: SimpleGraph, F: SimpleGraph) -> bool:
     for df, dg in zip(sorted(deg_f, reverse=True), sorted(deg_g, reverse=True)):
         if df > dg:
             return False
+    plan = _ExtensionPlan(F.adjacency_masks(), deg_f, [])
+    return plan.embeds(G.adjacency_masks(), deg_g, ())
 
-    adj_f = F.adjacency_masks()
-    adj_g = G.adjacency_masks()
 
-    order = _matching_order(F.n, adj_f, deg_f)
-    placed_neighbors = []  # for order[k]: earlier positions adjacent in F
-    pos_of = {v: k for k, v in enumerate(order)}
-    for k, v in enumerate(order):
-        placed_neighbors.append(
-            [pos_of[u] for u in range(F.n) if adj_f[v] >> u & 1 and pos_of[u] < k]
-        )
+class _ExtensionPlan:
+    """Static search plan: embed one pattern starting from fixed anchors.
 
-    images = [0] * F.n
-    used = 0
+    ``order`` lists the pattern's vertices, anchors first, then
+    connectivity-first and high-degree-first; for each later position,
+    ``earlier_neighbors`` holds the positions of its already placed
+    neighbors (only pattern edges constrain the embedding) and ``degrees``
+    its degree requirement.
+    """
 
-    def extend(k: int) -> bool:
-        nonlocal used
-        if k == F.n:
-            return True
-        v = order[k]
-        need = deg_f[v]
-        required = 0
-        for p in placed_neighbors[k]:
-            required |= 1 << images[p]
-        for t in range(G.n):
-            if used >> t & 1 or deg_g[t] < need:
-                continue
-            if required & ~adj_g[t]:
-                continue
-            images[k] = t
-            used |= 1 << t
-            if extend(k + 1):
+    __slots__ = ("size", "anchors", "degrees", "earlier_neighbors")
+
+    def __init__(self, F_adj: list, F_deg: list, anchors: list):
+        size = len(F_adj)
+        order = list(anchors)
+        placed = set(order)
+        while len(order) < size:
+            best, best_key = -1, None
+            for a in range(size):
+                if a in placed:
+                    continue
+                attached = sum(1 for b in order if F_adj[a] >> b & 1)
+                key = (attached, F_deg[a], -a)
+                if best_key is None or key > best_key:
+                    best, best_key = a, key
+            order.append(best)
+            placed.add(best)
+        position = {a: p for p, a in enumerate(order)}
+        self.size = size
+        self.anchors = len(anchors)
+        self.degrees = [F_deg[a] for a in order]
+        self.earlier_neighbors = [
+            [position[b] for b in range(size)
+             if F_adj[order[p]] >> b & 1 and position[b] < p]
+            for p in range(size)
+        ]
+
+    def embeds(self, adj: list, deg: list, anchor_images: tuple) -> bool:
+        """Backtracking injective extension of the anchored partial map.
+
+        The candidates of a position are the unused target vertices
+        adjacent to the images of all its earlier neighbors, one bitset
+        tried from the lowest vertex up.
+        """
+        n_g = len(adj)
+        if self.size > n_g:
+            return False
+        for p, v in enumerate(anchor_images):
+            if self.degrees[p] > deg[v]:
+                return False
+        images = list(anchor_images) + [0] * (self.size - self.anchors)
+        free = (1 << n_g) - 1
+        for v in anchor_images:
+            free &= ~(1 << v)
+        degrees = self.degrees
+        earlier = self.earlier_neighbors
+
+        def rec(p: int, free: int) -> bool:
+            if p == self.size:
                 return True
-            used &= ~(1 << t)
-        return False
+            need = degrees[p]
+            candidates = free
+            for q in earlier[p]:
+                candidates &= adj[images[q]]
+            while candidates:
+                bit = candidates & -candidates
+                candidates ^= bit
+                t = bit.bit_length() - 1
+                if deg[t] < need:
+                    continue
+                images[p] = t
+                if rec(p + 1, free ^ bit):
+                    return True
+            return False
 
-    return extend(0)
-
-
-def _matching_order(n: int, adj: list, deg: list) -> list:
-    order = []
-    chosen = 0
-    for _ in range(n):
-        best, best_key = -1, None
-        for v in range(n):
-            if chosen >> v & 1:
-                continue
-            anchored = bin(adj[v] & chosen).count("1")
-            key = (anchored, deg[v], -v)
-            if best_key is None or key > best_key:
-                best, best_key = v, key
-        order.append(best)
-        chosen |= 1 << best
-    return order
+        return rec(self.anchors, free)
 
 
 # ---------------------------------------------------------------------------

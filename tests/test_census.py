@@ -30,6 +30,7 @@ from graphlimitlab import (
     membership_table,
     speed_exponent,
 )
+from graphlimitlab.census import _census_cache
 
 K3 = ForbiddenFamily([SimpleGraph.complete(3)])
 K2 = ForbiddenFamily([SimpleGraph.complete(2)])
@@ -102,6 +103,25 @@ class TestCountUnlabeled:
         with pytest.raises(BudgetError):
             count_unlabeled(ForbiddenFamily([SimpleGraph.complete(4)]), 8,
                             max_candidates=10)
+
+    def test_candidate_budget_ignores_call_history(self):
+        # K4-free levels 0..6 hold 1, 1, 2, 4, 10, 29, 120 graphs, so
+        # n = 7 charges sum(count_{m-1} * 2^(m-1)) = 8811 candidates
+        K4 = ForbiddenFamily([SimpleGraph.complete(4)])
+
+        def outcome(budget):
+            try:
+                return count_unlabeled(K4, 7, max_candidates=budget)
+            except BudgetError:
+                return "budget"
+
+        for budget, expected in ((8810, "budget"), (8811, 685)):
+            _census_cache.clear()
+            cold = outcome(budget)
+            _census_cache.clear()
+            count_unlabeled(K4, 6)
+            warm = outcome(budget)
+            assert cold == warm == expected
 
 
 class TestCountResult:

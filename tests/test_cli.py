@@ -121,3 +121,40 @@ def test_validation_exit_codes(workspace, capsys):
 def test_budget_exit_code(workspace, capsys):
     assert main(["count", "--family", str(workspace["k3"]), "--n", "12"]) == \
         EXIT_BUDGET
+
+
+def test_malformed_graphon_json_exits_2(workspace, tmp_path, capsys):
+    for data in ({"measures": ["1/2", "1/2"], "values": [0.0, "x", "x", 0.0]},
+                 {"measures": 1, "values": [0.0]}):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["entropy", "--graphon", str(path)]) == EXIT_VALIDATION
+
+
+def test_unknown_config_keys_exit_2(workspace, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    for extra in ({"sampels": 2}, {"chain_mode": "thinned"},
+                  {"graphon2": str(workspace["half"])}, {"command": "count"}):
+        config.write_text(json.dumps({"family": str(workspace["k3"]), **extra}))
+        assert main(["speed", "--config", str(config), "--sizes", "3"]) == \
+            EXIT_VALIDATION
+        assert "unknown --config keys" in capsys.readouterr().err
+
+
+def test_config_value_not_shadowed_by_flag_default(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"tmax": 2}))
+    assert main(["audit", "--config", str(config)]) == EXIT_OK
+    rows = [line for line in capsys.readouterr().out.splitlines()
+            if line and not line.startswith("#")]
+    assert main(["audit", "--tmax", "2"]) == EXIT_OK
+    assert rows == [line for line in capsys.readouterr().out.splitlines()
+                    if line and not line.startswith("#")]
+
+
+def test_config_mode_outside_choices_exits_2(workspace, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"mode": "bogus"}))
+    assert main(["cutdist", "--config", str(config),
+                 "--graphon", str(workspace["half"]),
+                 "--graphon2", str(workspace["zero"])]) == EXIT_VALIDATION

@@ -35,6 +35,11 @@ class TestConfig:
         with pytest.raises(ValidationError):
             ExperimentConfig(family=K3, sizes=(5,), samples=0)
 
+    def test_samples_cannot_spill_into_the_next_size_streams(self):
+        ExperimentConfig(family=K3, sizes=(5, 6), samples=1000)
+        with pytest.raises(ValidationError):
+            ExperimentConfig(family=K3, sizes=(5, 6), samples=1001)
+
     def test_default_chain_parameters(self):
         config = ExperimentConfig(family=K3, sizes=(10,))
         npairs = 45

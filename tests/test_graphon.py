@@ -246,3 +246,18 @@ class TestSerialization:
             graphon_from_json_dict({"measures": ["1/2", "1/2"], "values": [0.0]})
         with pytest.raises(ValidationError):
             graphon_from_json_dict({"values": [0.0]})
+
+    def test_malformed_types_rejected(self):
+        for data in (
+            {"measures": ["1/2", "1/2"], "values": [0.0, "x", "x", 0.0]},
+            {"measures": ["1/2", "1/2"], "values": [0.0, None, None, 0.0]},
+            {"measures": ["1/2", "1/2"], "values": [0.0, [0.5], [0.5], 0.0]},
+            {"measures": ["1/2", "1/2"], "values": [True, 0.0, 0.0, True]},
+            {"measures": ["1/2", "1/2"], "values": 0.0},
+            {"measures": 1, "values": [0.0]},
+            {"measures": "1", "values": [0.0]},
+            {"measures": ["one"], "values": [0.0]},
+            {"measures": ["1/0"], "values": [0.0]},
+        ):
+            with pytest.raises(ValidationError):
+                graphon_from_json_dict(data)

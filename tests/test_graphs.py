@@ -5,6 +5,8 @@ import random
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphlimitlab import (
     BudgetError,
@@ -23,6 +25,7 @@ from graphlimitlab import (
     is_family_free,
     isomorphic,
 )
+from graphlimitlab.census import AnchoredOracle
 from graphlimitlab.graphs import PartKind
 
 
@@ -97,6 +100,66 @@ class TestContainment:
         assert contains_subgraph(SimpleGraph.empty(3), SimpleGraph.empty(0))
         assert contains_subgraph(SimpleGraph.empty(3), SimpleGraph.empty(3))
         assert not contains_subgraph(SimpleGraph.empty(3), SimpleGraph.empty(4))
+
+
+ENGINE_MEMBERS = {
+    "K3": SimpleGraph.complete(3),
+    "C4": SimpleGraph.cycle(4),
+    "C5": SimpleGraph.cycle(5),
+    "P4": SimpleGraph.path(4),
+    "K1,3": SimpleGraph.complete_bipartite(1, 3),
+    "2K2": SimpleGraph.from_edges(4, [(0, 1), (2, 3)]),
+    "K3+K1": SimpleGraph.from_edges(4, [(0, 1), (0, 2), (1, 2)]),
+}
+
+
+@st.composite
+def engine_cases(draw):
+    n = draw(st.integers(1, 9))
+    names = draw(st.lists(st.sampled_from(sorted(ENGINE_MEMBERS)),
+                          min_size=1, max_size=2, unique=True))
+    pairs = list(combinations(range(n), 2))
+    mask = draw(st.integers(0, (1 << len(pairs)) - 1))
+    raw = [p for b, p in enumerate(pairs) if mask >> b & 1]
+    order = draw(st.permutations(pairs))
+    v = draw(st.integers(0, n - 1))
+    neighbors = draw(st.sets(st.integers(0, n - 1))) - {v}
+    return n, [ENGINE_MEMBERS[name] for name in names], raw, order, v, neighbors
+
+
+class TestEmbeddingEngine:
+    """contains_subgraph and the anchored oracle share one search; both are
+    checked against the exhaustive oracle, including disconnected members
+    and members with an isolated vertex, whose later positions have no
+    placed neighbor to narrow their candidates."""
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(engine_cases())
+    def test_against_bruteforce(self, case):
+        n, members, raw, order, v, neighbors = case
+
+        def free(G):
+            return not any(brute_contains(G, F) for F in members)
+
+        G = SimpleGraph.from_edges(n, raw)
+        for F in members:
+            assert contains_subgraph(G, F) == brute_contains(G, F)
+
+        # grow a family-free H one edge at a time; every attempted edge
+        # is an edge_ok query whose precondition (H is free) holds
+        oracle = AnchoredOracle(ForbiddenFamily(members))
+        H = SimpleGraph.empty(n)
+        for i, j in order:
+            G = SimpleGraph(n, H.edges | {(i, j)})
+            ok = free(G)
+            assert oracle.edge_ok(G.adjacency_masks(), G.degrees(), i, j) == ok
+            if ok:
+                H = G
+
+        # rewire v: G - v is a subgraph of the free H, so vertex_ok applies
+        kept = [e for e in H.edges if v not in e]
+        G = SimpleGraph.from_edges(n, kept + [(v, u) for u in neighbors])
+        assert oracle.vertex_ok(G.adjacency_masks(), G.degrees(), v) == free(G)
 
 
 class TestFamilies:
