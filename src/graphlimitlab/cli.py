@@ -2,7 +2,9 @@
 
 Subcommands: entropy, cutdist, count, sample, converge, speed, audit,
 couple.  Options may also come from a JSON file via --config; explicit
-flags win.  Exit codes: 0 success, 2 validation error, 3 budget error.
+flags win, and integer options from the file are converted as their flags
+are (null counts as not given).  Exit codes: 0 success, 2 validation
+error, 3 budget error.
 """
 
 from __future__ import annotations
@@ -80,6 +82,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# options that build_parser declares with type=int
+_INT_OPTIONS = frozenset({"n", "samples", "burnin", "gap", "seed", "r", "tmax"})
+
+
+def _config_int(key: str, value) -> int:
+    """Convert a --config value as argparse's int converts the flag's text."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValidationError(f"--config {key} must be an integer, got {value!r}")
+    try:
+        return int(value)
+    except ValueError as exc:
+        raise ValidationError(
+            f"--config {key} must be an integer, got {value!r}") from exc
+
+
 def _merge_config(args: argparse.Namespace) -> dict:
     merged = {}
     if getattr(args, "config", None):
@@ -93,7 +110,10 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise ValidationError(
                 f"unknown --config keys for {args.command}: {', '.join(unknown)}"
             )
-        merged.update(loaded)
+        for key, value in loaded.items():
+            if value is None:
+                continue  # null means not given, as for an absent flag
+            merged[key] = _config_int(key, value) if key in _INT_OPTIONS else value
     for key, value in vars(args).items():
         if key in ("command", "config"):
             continue
@@ -105,9 +125,13 @@ def _merge_config(args: argparse.Namespace) -> dict:
 def _sizes_from(options: dict):
     if options.get("sizes") is not None:
         sizes = options["sizes"]
-        return _parse_sizes(sizes) if isinstance(sizes, str) else tuple(sizes)
+        if isinstance(sizes, str):
+            return _parse_sizes(sizes)
+        if not isinstance(sizes, list):
+            raise ValidationError(f"--config sizes must be a list, got {sizes!r}")
+        return tuple(_config_int("sizes", n) for n in sizes)
     if options.get("n") is not None:
-        return (int(options["n"]),)
+        return (options["n"],)
     raise ValidationError("need --n or --sizes")
 
 
@@ -120,10 +144,10 @@ def _experiment_config(options: dict, need_family: bool) -> ExperimentConfig:
     return ExperimentConfig(
         family=family,
         sizes=_sizes_from(options),
-        samples=int(options.get("samples", 20)),
+        samples=options.get("samples", 20),
         burnin=options.get("burnin"),
         gap=options.get("gap"),
-        seed=int(options.get("seed", 0)),
+        seed=options.get("seed", 0),
         r_override=options.get("r"),
         graphon_low_path=options.get("graphon"),
         graphon_high_path=options.get("graphon2"),
@@ -157,7 +181,7 @@ def _run(args: argparse.Namespace) -> int:
             raise ValidationError("mode must be 'exact' or 'local'")
         value = cut_distance(
             load_graphon(options["graphon"]), load_graphon(options["graphon2"]),
-            mode=mode, seed=SampleSeed(int(options.get("seed", 0))),
+            mode=mode, seed=SampleSeed(options.get("seed", 0)),
         )
         print(repr(value))
         return EXIT_OK
@@ -193,9 +217,9 @@ def _run(args: argparse.Namespace) -> int:
         if options.get("n") is None:
             raise ValidationError("need --n")
         W = load_graphon(options["graphon"])
-        n = int(options["n"])
-        count = int(options.get("samples", 1))
-        seed = int(options.get("seed", 0))
+        n = options["n"]
+        count = options.get("samples", 1)
+        seed = options.get("seed", 0)
         lines = [
             to_graph6(sample_wrandom(W, n, SampleSeed(seed, stream)))
             for stream in range(count)
@@ -219,7 +243,7 @@ def _run(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if command == "audit":
-        report = run_entropy_audit(int(options.get("tmax", 8)),
+        report = run_entropy_audit(options.get("tmax", 8),
                                    out=options.get("out"))
         _emit(report, options.get("out"))
         return EXIT_OK

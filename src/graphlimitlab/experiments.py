@@ -22,14 +22,11 @@ from .census import (
     UNIFORM_EXACT_BUDGET,
     count_labeled,
     count_result,
-    speed_exponent,
 )
 from .errors import ValidationError
 from .graphon import (
     EXACT_CUT_NORM_THRESHOLD,
     StepGraphon,
-    StepKernel,
-    binary_entropy,
     cap_at_half,
     cut_norm,
     cut_norm_estimate,

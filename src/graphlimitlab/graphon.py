@@ -9,7 +9,12 @@ Cut norms are evaluated in exact integer arithmetic on a common-denominator
 grid (every float is a dyadic rational, every measure a Fraction), so the
 exact routine and the hill-climbing estimator are comparable without any
 floating-point slack: the estimator can never exceed the exact value, and
-independent enumeration orders reproduce identical results.
+independent enumeration orders reproduce identical results.  The grid is
+a numpy array of int64 when the sum of its absolute values is below 2^62,
+so that no partial sum can overflow, and of Python ints otherwise.  The
+exact routine enumerates row subsets meet-in-the-middle: the column sums
+of all subsets of each half of the rows are combined chunk by chunk, and
+the best column subset is read off the combined sums by sign.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import math
 from enum import Enum
 from fractions import Fraction
 from itertools import permutations
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -238,16 +243,41 @@ def difference_kernel(W1: StepGraphon, W2: StepGraphon) -> StepKernel:
 # ---------------------------------------------------------------------------
 
 def _integer_grid(K: _StepFunction):
-    """Cell integrals mu_i mu_j K_ij as integers over a common denominator."""
+    """Cell integrals mu_i mu_j K_ij as integers over a common denominator.
+
+    Returns (grid, denom) with grid a k x k array.  Its dtype is int64 when
+    sum |grid| < 2^62: every partial column sum, and twice any cut value,
+    then stays below 2^63.  Otherwise it is object (Python ints), which the
+    same numpy code handles exactly.
+    """
     k = K.k
-    cells = [[Fraction(float(K.values[i, j])) * K.measures[i] * K.measures[j]
-              for j in range(k)] for i in range(k)]
-    denom = 1
-    for row in cells:
-        for cell in row:
-            denom = denom * cell.denominator // math.gcd(denom, cell.denominator)
-    grid = [[int(cell * denom) for cell in row] for row in cells]
-    return grid, denom
+    cells = [Fraction(float(K.values[i, j])) * K.measures[i] * K.measures[j]
+             for i in range(k) for j in range(k)]
+    denom = math.lcm(*(cell.denominator for cell in cells))
+    flat = [int(cell * denom) for cell in cells]
+    dtype = np.int64 if sum(map(abs, flat)) < 1 << 62 else object
+    return np.array(flat, dtype=dtype).reshape(k, k), denom
+
+
+def _twice_best(cols: np.ndarray, axis: int) -> np.ndarray:
+    """Twice the best |sum of c_j over j in T| for column sums c along axis.
+
+    The best T takes every positive or every negative c_j, and
+    sum |c_j| + |sum c_j| = 2 max(positive, negative).
+    """
+    return np.abs(cols).sum(axis=axis) + np.abs(cols.sum(axis=axis))
+
+
+def _subset_sums(rows: np.ndarray) -> np.ndarray:
+    """Row s of the result is the sum of the rows selected by the bits of s."""
+    out = np.zeros((1 << len(rows), rows.shape[1]), dtype=rows.dtype)
+    for i, row in enumerate(rows):
+        out[1 << i:2 << i] = out[:1 << i] + row
+    return out
+
+
+# cells of one chunk's column-sum block: 256 KiB of int64 per temporary
+_CHUNK_CELLS = 1 << 15
 
 
 def cut_norm(K: StepKernel) -> float:
@@ -255,9 +285,12 @@ def cut_norm(K: StepKernel) -> float:
 
     The objective is bilinear in fractional block memberships, so it is
     maximized at extreme points: S and T may be taken to be unions of
-    blocks.  S is enumerated over all block subsets (Gray-code updates);
-    the optimal T for fixed S picks each block by the sign of its column
-    sum.  All arithmetic is exact.
+    blocks, and the optimal T for fixed S picks each block by the sign of
+    its column sum.  S is enumerated meet-in-the-middle: the column sums of
+    every subset of each half of the rows are built by doubling, and each
+    chunk of high-half subsets is added to every low-half subset at once.
+    All arithmetic is exact integer arithmetic on the grid of
+    _integer_grid, in int64 or in Python ints.
     """
     k = K.k
     if k > EXACT_CUT_NORM_THRESHOLD:
@@ -266,38 +299,25 @@ def cut_norm(K: StepKernel) -> float:
             "use cut_norm_estimate for larger kernels"
         )
     grid, denom = _integer_grid(K)
-    cols = [0] * k
+    half = (k + 1) // 2
+    low = np.ascontiguousarray(_subset_sums(grid[:half]).T)  # k x 2^half
+    high = _subset_sums(grid[half:])
+    step = max(1, _CHUNK_CELLS // low.size)
     best = 0
-    gray = 0
-    for step in range(1, 1 << k):  # Gray-code walk over row subsets
-        new_gray = step ^ (step >> 1)
-        bit = gray ^ new_gray
-        row = grid[bit.bit_length() - 1]
-        if new_gray & bit:
-            cols = [c + r for c, r in zip(cols, row)]
-        else:
-            cols = [c - r for c, r in zip(cols, row)]
-        gray = new_gray
-        positive = sum(c for c in cols if c > 0)
-        negative = -sum(c for c in cols if c < 0)
-        value = positive if positive >= negative else negative
-        if value > best:
-            best = value
-    return float(Fraction(best, denom))
+    for start in range(0, len(high), step):
+        cols = high[start:start + step, :, None] + low
+        best = max(best, _twice_best(cols, axis=1).max())
+    return float(Fraction(int(best), 2 * denom))
 
 
-def _pair_value(grid, rows_mask: int, k: int):
-    """Best |sum| over column subsets for a fixed row subset, exactly."""
-    cols = [0] * k
-    for i in range(k):
-        if rows_mask >> i & 1:
-            row = grid[i]
-            cols = [c + r for c, r in zip(cols, row)]
-    positive = sum(c for c in cols if c > 0)
-    negative = -sum(c for c in cols if c < 0)
-    if positive >= negative:
-        return positive, [j for j in range(k) if cols[j] > 0]
-    return negative, [j for j in range(k) if cols[j] < 0]
+def _pair_value(grid: np.ndarray, rows: np.ndarray):
+    """Best |sum| over column subsets for the rows selected by a boolean
+    mask, exactly; the positive columns win a tie."""
+    cols = grid[rows].sum(axis=0)
+    # a 1 x k block: on a 1-d object array, np.abs of the total would turn
+    # a Python int into an int64 scalar that can overflow
+    value = int(_twice_best(cols[None, :], axis=1)[0]) // 2
+    return value, (cols > 0 if cols.sum() >= 0 else cols < 0)
 
 
 def cut_norm_estimate(K: StepKernel, restarts: int = 8,
@@ -316,29 +336,20 @@ def cut_norm_estimate(K: StepKernel, restarts: int = 8,
     draws = SequentialDraws(seed)
     k = K.k
     grid, denom = _integer_grid(K)
-    transposed = [[grid[i][j] for i in range(k)] for j in range(k)]
 
     best = 0
     for restart in range(restarts):
-        if restart == 0:
-            rows = (1 << k) - 1
-        else:
-            rows = draws.next_raw() & ((1 << k) - 1)
-            if rows == 0:
-                rows = (1 << k) - 1
-        value, cols = _pair_value(grid, rows, k)
+        mask = (1 << k) - 1
+        if restart > 0:
+            mask = draws.next_raw() & mask or mask
+        rows = np.array([mask >> i & 1 for i in range(k)], dtype=bool)
+        value, cols = _pair_value(grid, rows)
         while True:
-            cols_mask = 0
-            for j in cols:
-                cols_mask |= 1 << j
-            row_value, row_set = _pair_value(transposed, cols_mask, k)
+            row_value, rows = _pair_value(grid.T, cols)
             if row_value <= value:
                 break
             value = row_value
-            rows = 0
-            for i in row_set:
-                rows |= 1 << i
-            col_value, cols = _pair_value(grid, rows, k)
+            col_value, cols = _pair_value(grid, rows)
             if col_value <= value:
                 break
             value = col_value

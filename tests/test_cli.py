@@ -158,3 +158,43 @@ def test_config_mode_outside_choices_exits_2(workspace, tmp_path, capsys):
     assert main(["cutdist", "--config", str(config),
                  "--graphon", str(workspace["half"]),
                  "--graphon2", str(workspace["zero"])]) == EXIT_VALIDATION
+
+
+def test_config_int_options_match_parser():
+    from graphlimitlab.cli import _INT_OPTIONS, build_parser
+    parser = build_parser()
+    typed = {action.dest
+             for sub in parser._subparsers._group_actions[0].choices.values()
+             for action in sub._actions if action.type is int}
+    assert typed == _INT_OPTIONS
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("speed", {"n": "x"}), ("speed", {"samples": "x"}),
+    ("speed", {"samples": 2.5}), ("speed", {"burnin": True}),
+    ("speed", {"gap": [1]}), ("speed", {"seed": "1.5"}),
+    ("converge", {"r": "two"}), ("audit", {"tmax": 2.0}),
+    ("speed", {"sizes": ["3", "x"]}), ("speed", {"sizes": 3}),
+])
+def test_bad_config_values_exit_2(workspace, tmp_path, capsys, command, extra):
+    config = tmp_path / "config.json"
+    base = {} if command == "audit" else {"family": str(workspace["k3"]),
+                                           "sizes": [3]}
+    config.write_text(json.dumps({**base, **extra}))
+    assert main([command, "--config", str(config)]) == EXIT_VALIDATION
+    assert "--config" in capsys.readouterr().err
+
+
+def test_config_values_convert_like_flags(workspace, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"family": str(workspace["k3"]),
+                                  "sizes": ["9"], "samples": "2",
+                                  "burnin": "10", "gap": None, "seed": "3"}))
+    assert main(["converge", "--config", str(config)]) == EXIT_OK
+    from_config = capsys.readouterr().out
+    flags = ["converge", "--family", str(workspace["k3"]), "--sizes", "9",
+             "--samples", "2", "--seed", "3"]
+    assert main(flags + ["--burnin", "10"]) == EXIT_OK
+    assert from_config == capsys.readouterr().out
+    assert main(flags) == EXIT_OK  # n = 9 runs the chain, so burnin counts
+    assert from_config != capsys.readouterr().out

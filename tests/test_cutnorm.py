@@ -1,15 +1,19 @@
 """Cut norm and cut distance against independent brute-force oracles."""
 
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphlimitlab import (
     AlignmentMode,
     BudgetError,
     SampleSeed,
+    SequentialDraws,
     StepGraphon,
     StepKernel,
     ValidationError,
@@ -17,8 +21,11 @@ from graphlimitlab import (
     cut_norm,
     cut_norm_estimate,
     difference_kernel,
+    empirical_graphon,
     make_wrs,
+    sample_wrandom,
 )
+from graphlimitlab.graphon import _integer_grid
 
 
 def brute_force_cut_norm(K):
@@ -40,6 +47,75 @@ def brute_force_cut_norm(K):
             if abs(total) > best:
                 best = abs(total)
     return float(best)
+
+
+def python_int_grid(K):
+    """Cell integrals mu_i mu_j K_ij as lists of Python ints over their
+    common denominator, built without the library's grid."""
+    cells = [[Fraction(float(K.values[i, j])) * K.measures[i] * K.measures[j]
+              for j in range(K.k)] for i in range(K.k)]
+    denom = math.lcm(*(cell.denominator for row in cells for cell in row))
+    return [[int(cell * denom) for cell in row] for row in cells], denom
+
+
+def gray_code_cut_norm(K):
+    """Oracle: Gray-code walk over all row subsets in Python ints.
+
+    Each step adds or removes one row's integer cells from the running
+    column sums; the best column subset takes every positive or every
+    negative column sum.
+    """
+    grid, denom = python_int_grid(K)
+    cols = [0] * K.k
+    best = 0
+    gray = 0
+    for step in range(1, 1 << K.k):
+        new_gray = step ^ (step >> 1)
+        bit = gray ^ new_gray
+        row = grid[bit.bit_length() - 1]
+        if new_gray & bit:
+            cols = [c + r for c, r in zip(cols, row)]
+        else:
+            cols = [c - r for c, r in zip(cols, row)]
+        gray = new_gray
+        positive = sum(c for c in cols if c > 0)
+        negative = -sum(c for c in cols if c < 0)
+        best = max(best, positive, negative)
+    return float(Fraction(best, denom))
+
+
+def hill_climb_reference(K, restarts, seed):
+    """Oracle: the estimator's alternating climb on Python-int column sums,
+    drawing the same row masks from the same stream."""
+    grid, denom = python_int_grid(K)
+    full = (1 << K.k) - 1
+
+    def best_side(matrix, mask):
+        cols = [sum(matrix[i][j] for i in range(K.k) if mask >> i & 1)
+                for j in range(K.k)]
+        positive = sum(c for c in cols if c > 0)
+        negative = -sum(c for c in cols if c < 0)
+        if positive >= negative:
+            return positive, sum(1 << j for j in range(K.k) if cols[j] > 0)
+        return negative, sum(1 << j for j in range(K.k) if cols[j] < 0)
+
+    transposed = [list(column) for column in zip(*grid)]
+    draws = SequentialDraws(seed)
+    best = 0
+    for restart in range(restarts):
+        rows = full if restart == 0 else (draws.next_raw() & full or full)
+        value, cols = best_side(grid, rows)
+        while True:
+            row_value, rows = best_side(transposed, cols)
+            if row_value <= value:
+                break
+            value = row_value
+            col_value, cols = best_side(grid, rows)
+            if col_value <= value:
+                break
+            value = col_value
+        best = max(best, value)
+    return float(Fraction(best, denom))
 
 
 def random_kernel(rng, kmax=5):
@@ -108,10 +184,78 @@ class TestCutNormExact:
             if np.array_equal(total.values, K1.values + values2):
                 assert cut_norm(total) <= cut_norm(K1) + cut_norm(K2) + 1e-12
 
+    def test_int64_path_on_sampled_graph_kernel(self):
+        W = make_wrs(2, 0)
+        G = sample_wrandom(W, 16, SampleSeed(8))
+        K = difference_kernel(empirical_graphon(G), W)
+        assert K.k == 16
+        assert _integer_grid(K)[0].dtype == np.int64
+        assert cut_norm(K) == gray_code_cut_norm(K)
+
+    def test_object_path_past_int64_guard(self):
+        # full-mantissa floats on blocks of coprime weights push the common
+        # denominator, and with it sum |grid|, far beyond 2^62
+        rng = random.Random(16)
+        k = 12
+        weights = [rng.randint(1, 97) for _ in range(k)]
+        values = np.zeros((k, k))
+        for i in range(k):
+            for j in range(i, k):
+                values[i, j] = values[j, i] = rng.uniform(-1, 1)
+        K = StepKernel([Fraction(w, sum(weights)) for w in weights], values)
+        grid, _ = _integer_grid(K)
+        assert grid.dtype == object
+        assert sum(abs(v) for v in grid.flat) >= 1 << 62
+        assert cut_norm(K) == gray_code_cut_norm(K)
+
     def test_budget_error_mentions_estimator(self):
         K = StepKernel([Fraction(1, 21)] * 21, np.zeros((21, 21)))
         with pytest.raises(BudgetError, match="cut_norm_estimate"):
             cut_norm(K)
+
+
+DYADIC_VALUES = st.integers(-64, 64).map(lambda m: m / 64)
+UNIFORM_VALUES = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def kernels(draw, kmax=12):
+    k = draw(st.integers(1, kmax))
+    weights = draw(st.lists(st.integers(1, 50), min_size=k, max_size=k))
+    values = draw(st.sampled_from([DYADIC_VALUES, UNIFORM_VALUES]))
+    upper = draw(st.lists(values, min_size=k * (k + 1) // 2,
+                          max_size=k * (k + 1) // 2))
+    matrix = np.zeros((k, k))
+    matrix[np.triu_indices(k)] = upper
+    matrix = np.triu(matrix) + np.triu(matrix, 1).T
+    return StepKernel([Fraction(w, sum(weights)) for w in weights], matrix)
+
+
+class TestCutNormDifferential:
+    """The meet-in-the-middle enumeration against the Gray-code walk."""
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(kernels())
+    def test_matches_gray_code_walk(self, K):
+        exact = cut_norm(K)
+        assert exact == gray_code_cut_norm(K)
+        assert cut_norm_estimate(K, restarts=4, seed=SampleSeed(K.k)) <= exact
+
+    @pytest.mark.parametrize("k", [13, 16, 20])
+    def test_estimate_never_exceeds_exact_up_to_threshold(self, k):
+        rng = random.Random(k)
+        W = make_wrs(2, 0)
+        for trial in range(3):
+            K = difference_kernel(
+                empirical_graphon(sample_wrandom(W, k, SampleSeed(trial))), W)
+            assert cut_norm_estimate(K, seed=SampleSeed(trial)) <= cut_norm(K)
+        weights = [rng.randint(1, 9) for _ in range(k)]
+        values = np.zeros((k, k))
+        for i in range(k):
+            for j in range(i, k):
+                values[i, j] = values[j, i] = rng.uniform(-1, 1)
+        K = StepKernel([Fraction(w, sum(weights)) for w in weights], values)
+        assert cut_norm_estimate(K, seed=SampleSeed(k)) <= cut_norm(K)
 
 
 class TestCutNormEstimate:
@@ -129,6 +273,25 @@ class TestCutNormEstimate:
         K = StepKernel([Fraction(1, 2), Fraction(1, 2)],
                        [[1.0, -1.0], [-1.0, 1.0]])
         assert cut_norm_estimate(K, restarts=8, seed=SampleSeed(5)) == 0.25
+
+    @pytest.mark.parametrize("k", [3, 12, 20, 30])
+    def test_equals_python_int_climb(self, k):
+        rng = random.Random(k)
+        W = make_wrs(2, 0)
+        G = sample_wrandom(W, k, SampleSeed(k))
+        weights = [rng.randint(1, 97) for _ in range(k)]
+        values = np.zeros((k, k))
+        for i in range(k):
+            for j in range(i, k):
+                values[i, j] = values[j, i] = rng.uniform(-1, 1)
+        # an int64 grid, then one past the int64 guard
+        for K in (difference_kernel(empirical_graphon(G), W),
+                  StepKernel([Fraction(w, sum(weights)) for w in weights],
+                             values)):
+            seed = SampleSeed(k, 7)
+            assert cut_norm_estimate(K, restarts=6, seed=seed) == \
+                hill_climb_reference(K, 6, seed)
+        assert _integer_grid(K)[0].dtype == object
 
     def test_deterministic_given_seed(self):
         rng = random.Random(31415)
