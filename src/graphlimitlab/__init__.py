@@ -56,7 +56,6 @@ from .graphs import (
     SimpleGraph,
     all_pairs,
     automorphism_count,
-    canonical_form,
     canonical_key,
     chromatic_number,
     coloring_number,

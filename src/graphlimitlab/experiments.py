@@ -33,7 +33,6 @@ from .graphon import (
     difference_kernel,
     empirical_graphon,
     entropy,
-    load_graphon,
     make_wrs,
     pointwise_leq,
 )
@@ -51,30 +50,28 @@ _STREAM_COUPLE = 5_000_000
 _STREAM_EXACT = 6_000_000
 _STREAM_PARTITION = 7_000_000
 
+# local-search starts of the partition search and of the cut-norm hill
+# climb beyond EXACT_CUT_NORM_THRESHOLD blocks
+PARTITION_RESTARTS = 16
+ESTIMATE_RESTARTS = 8
+
 
 @dataclass
 class ExperimentConfig:
     """Shared configuration of the experiment drivers.
 
-    ``burnin`` and ``gap`` default, per size n with P = C(n,2) vertex
-    pairs, to ceil(20 P ln P) and P; the defaults are engineering
-    judgment, recorded in the report metadata.
+    ``burnin`` defaults, per size n with P = C(n,2) vertex pairs, to
+    ceil(20 P ln P); the default is engineering judgment, recorded in the
+    report metadata.
     """
 
     family: Optional[ForbiddenFamily] = None
     sizes: Sequence[int] = (20, 40, 80)
     samples: int = 20
     burnin: Optional[int] = None
-    gap: Optional[int] = None
     seed: int = 0
     r_override: Optional[int] = None
-    graphon_low_path: Optional[str] = None
-    graphon_high_path: Optional[str] = None
-    out: Optional[str] = None
     compare_crs: bool = False
-    partition_restarts: int = 16
-    estimate_restarts: int = 8
-    chain_mode: str = "independent"
 
     def __post_init__(self):
         self.sizes = tuple(int(n) for n in self.sizes)
@@ -85,10 +82,11 @@ class ExperimentConfig:
         if self.samples > _STRIDE:
             # stream ids are base + size index * _STRIDE + sample index
             raise ValidationError(f"samples must be <= {_STRIDE}")
+        if self.burnin is not None and self.burnin < 0:
+            raise ValidationError("burnin must be >= 0")
         if self.r_override is not None and self.r_override < 1:
             raise ValidationError("r override must be >= 1")
-        if self.chain_mode not in ("independent", "thinned"):
-            raise ValidationError("chain_mode must be 'independent' or 'thinned'")
+        SampleSeed(self.seed)  # a seed outside 0..2^64-1 is a ValidationError
 
     def resolved_family(self) -> ForbiddenFamily:
         if self.family is not None:
@@ -102,11 +100,6 @@ class ExperimentConfig:
         if npairs < 2:
             return 64
         return math.ceil(20 * npairs * math.log(npairs))
-
-    def gap_for(self, n: int) -> int:
-        if self.gap is not None:
-            return self.gap
-        return max(1, n * (n - 1) // 2)
 
 
 @dataclass
@@ -126,10 +119,6 @@ class ExperimentReport:
         for row in self.rows:
             writer.writerow([_render(cell) for cell in row])
         return buffer.getvalue()
-
-    def write(self, path) -> None:
-        with open(path, "w", encoding="ascii", newline="") as handle:
-            handle.write(self.to_csv_text())
 
     def column(self, name: str) -> list:
         idx = self.columns.index(name)
@@ -168,22 +157,25 @@ def _lag1_autocorrelation(values) -> float:
 # Distance estimator: empirical graphon vs the balanced block target
 # ---------------------------------------------------------------------------
 
-def estimate_distance_to_block_target(G: SimpleGraph, r: int, seed: SampleSeed,
-                                      partition_restarts: int = 16,
-                                      estimate_restarts: int = 8) -> float:
-    """Upper estimate of the cut distance between G's empirical graphon and
-    the r-block target (0 on diagonal blocks, 1/2 off-diagonal).
+def estimate_distance_to_block_target(G: SimpleGraph, r: int,
+                                      seed: SampleSeed) -> float:
+    """Cut norm of G's empirical graphon minus the r-block target (0 on
+    diagonal blocks, 1/2 off-diagonal), with G's vertices aligned to the
+    target by a partition search.
 
     A local search over vertex r-partitions (balanced seeded starts,
     first-improvement single-vertex moves) minimizes intra-part edges plus
     the deviation of every cross density from 1/2; the vertices are then
     ordered part by part and the cut norm of the difference kernel on the
-    partition-refined common structure is computed (exactly for few
-    blocks, by hill climbing beyond the exact threshold).
+    partition-refined common structure is taken.  With at most
+    EXACT_CUT_NORM_THRESHOLD blocks that norm is exact, and, since any
+    alignment is a coupling, an upper bound on the cut distance.  Beyond
+    it the value is a hill-climbed lower bound on the aligned norm, so it
+    bounds the cut distance from neither side.
     """
     if r < 1:
         raise ValidationError("target needs r >= 1")
-    parts = _search_partition(G, r, seed, partition_restarts)
+    parts = _search_partition(G, r, seed)
     order = sorted(range(G.n), key=lambda v: (parts[v], v))
     position = [0] * G.n
     for pos, v in enumerate(order):
@@ -193,13 +185,12 @@ def estimate_distance_to_block_target(G: SimpleGraph, r: int, seed: SampleSeed,
     if kernel.k <= EXACT_CUT_NORM_THRESHOLD:
         return cut_norm(kernel)
     return cut_norm_estimate(
-        kernel, restarts=estimate_restarts,
+        kernel, restarts=ESTIMATE_RESTARTS,
         seed=SampleSeed(seed.seed, seed.stream + _STREAM_PARTITION),
     )
 
 
-def _search_partition(G: SimpleGraph, r: int, seed: SampleSeed,
-                      restarts: int) -> list:
+def _search_partition(G: SimpleGraph, r: int, seed: SampleSeed) -> list:
     n = G.n
     adj = G.adjacency_masks()
     npairs = max(1, n * (n - 1) // 2)
@@ -216,7 +207,7 @@ def _search_partition(G: SimpleGraph, r: int, seed: SampleSeed,
 
     best_parts = None
     best_value = None
-    for restart in range(restarts):
+    for restart in range(PARTITION_RESTARTS):
         parts = [v % r for v in range(n)]
         if restart > 0:  # balanced start, then a seeded shuffle
             for a in range(n - 1, 0, -1):
@@ -319,30 +310,22 @@ def _uniform_samples(config: ExperimentConfig, fam: ForbiddenFamily,
             for s in range(config.samples)
         ]
     burnin = config.burnin_for(n)
-    if config.chain_mode == "independent":
-        return [
-            mcmc_trace(
-                fam, n, [burnin],
-                SampleSeed(config.seed,
-                           _STREAM_CHAIN + size_index * _STRIDE + s),
-            )[0]
-            for s in range(config.samples)
-        ]
-    gap = config.gap_for(n)
-    checkpoints = [burnin + s * gap for s in range(config.samples)]
-    return mcmc_trace(
-        fam, n, checkpoints,
-        SampleSeed(config.seed, _STREAM_CHAIN + size_index * _STRIDE),
-    )
+    return [
+        mcmc_trace(
+            fam, n, [burnin],
+            SampleSeed(config.seed, _STREAM_CHAIN + size_index * _STRIDE + s),
+        )[0]
+        for s in range(config.samples)
+    ]
 
 
 def run_convergence(config: ExperimentConfig) -> ExperimentReport:
     """Distance of random family-free graphs to the block-model target.
 
-    For each size, uniform samples (exact below the enumeration budget, a
-    thinned Metropolis chain beyond it) are pushed through the partition
-    distance estimator against the r-block target, with r derived from
-    the family's coloring number unless overridden.  A calibration series
+    For each size, uniform samples (exact below the enumeration budget,
+    one independent Metropolis chain per sample beyond it) are pushed
+    through the partition distance estimator against the r-block target,
+    with r derived from the family's coloring number unless overridden.  A calibration series
     runs W-random samples of the target itself through the same estimator
     to measure its noise floor.
     """
@@ -358,7 +341,6 @@ def run_convergence(config: ExperimentConfig) -> ExperimentReport:
                 G, r,
                 SampleSeed(config.seed,
                            _STREAM_ESTIMATE + size_index * _STRIDE + s),
-                config.partition_restarts, config.estimate_restarts,
             )
             for s, G in enumerate(graphs)
         ]
@@ -382,7 +364,6 @@ def run_convergence(config: ExperimentConfig) -> ExperimentReport:
                 SampleSeed(config.seed,
                            _STREAM_CALIBRATE_ESTIMATE
                            + size_index * _STRIDE + s),
-                config.partition_restarts, config.estimate_restarts,
             )
             for s, G in enumerate(calibration)
         ]
@@ -399,16 +380,16 @@ def run_convergence(config: ExperimentConfig) -> ExperimentReport:
             "r": str(r),
             "samples_per_size": str(config.samples),
             "seed": str(config.seed),
-            "chain_mode": config.chain_mode,
+            # the chain_mode and gap lines are kept verbatim, though there is
+            # no thinned mode, so that reports stay byte-identical
+            "chain_mode": "independent",
             "burnin": "per-size ceil(20*P*ln P) unless overridden",
             "gap": "per-size P unless overridden (thinned mode only)",
-            "partition_restarts": str(config.partition_restarts),
+            "partition_restarts": str(PARTITION_RESTARTS),
             "distances": "upper estimates; no convergence rate is claimed, "
                          "only the finite-size trend",
         },
     )
-    if config.out:
-        report.write(config.out)
     return report
 
 
@@ -445,12 +426,10 @@ def run_speed(config: ExperimentConfig) -> ExperimentReport:
             "exponent": "log2(labeled count) / C(n,2)",
         },
     )
-    if config.out:
-        report.write(config.out)
     return report
 
 
-def run_entropy_audit(tmax: int, out: Optional[str] = None) -> ExperimentReport:
+def run_entropy_audit(tmax: int) -> ExperimentReport:
     """Entropy identities for every block count t <= tmax and every 0/1
     diagonal pattern, plus the strict entropy gain from capping at 1/2.
 
@@ -496,18 +475,15 @@ def run_entropy_audit(tmax: int, out: Optional[str] = None) -> ExperimentReport:
         rows=rows,
         metadata={"experiment": "entropy_audit", "tolerance": "1e-12"},
     )
-    if out:
-        report.write(out)
     return report
 
 
-def run_coupling_demo(config: ExperimentConfig) -> ExperimentReport:
+def run_coupling_demo(config: ExperimentConfig, low: StepGraphon,
+                      high: StepGraphon) -> ExperimentReport:
     """Sample coupled pairs from two pointwise-ordered graphons and certify
     edge containment on every pair; report densities per size."""
-    if not (config.graphon_low_path and config.graphon_high_path):
-        raise ValidationError("coupling demo needs two graphon JSON inputs")
-    low = load_graphon(config.graphon_low_path)
-    high = load_graphon(config.graphon_high_path)
+    if not (isinstance(low, StepGraphon) and isinstance(high, StepGraphon)):
+        raise ValidationError("coupling demo needs two graphons")
     if not pointwise_leq(low, high):
         raise ValidationError("coupling demo requires low <= high pointwise")
 
@@ -541,6 +517,4 @@ def run_coupling_demo(config: ExperimentConfig) -> ExperimentReport:
         rows=rows,
         metadata={"experiment": "coupling", "seed": str(config.seed)},
     )
-    if config.out:
-        report.write(config.out)
     return report

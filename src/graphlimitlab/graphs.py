@@ -472,8 +472,9 @@ def crs_member(G: SimpleGraph, r: int, s: int) -> Optional[CrsWitness]:
 # Canonical form and automorphisms
 # ---------------------------------------------------------------------------
 
-def canonical_form(G: SimpleGraph):
-    """Canonical edge list plus |Aut(G)|; invariant under relabeling, n <= 12.
+@lru_cache(maxsize=65536)
+def canonical_key(G: SimpleGraph) -> tuple:
+    """Canonical edge list; invariant under relabeling, n <= 12.
 
     The canonical labeling minimizes the adjacency bit string read off
     level by level (each new vertex contributes its adjacency bits to the
@@ -481,13 +482,8 @@ def canonical_form(G: SimpleGraph):
     ("twins") are collapsed at every branch point, which keeps highly
     symmetric graphs cheap.
     """
-    return canonical_key(G), automorphism_count(G)
-
-
-@lru_cache(maxsize=65536)
-def canonical_key(G: SimpleGraph) -> tuple:
     if G.n > CANONICAL_BUDGET:
-        raise BudgetError(f"canonical_form limited to n <= {CANONICAL_BUDGET}")
+        raise BudgetError(f"canonical_key limited to n <= {CANONICAL_BUDGET}")
     n = G.n
     if n == 0:
         return ()
@@ -565,7 +561,8 @@ def automorphism_count(G: SimpleGraph) -> int:
     group order is the product of the orbit sizes.
     """
     if G.n > CANONICAL_BUDGET:
-        raise BudgetError(f"canonical_form limited to n <= {CANONICAL_BUDGET}")
+        raise BudgetError(
+            f"automorphism_count limited to n <= {CANONICAL_BUDGET}")
     n = G.n
     if n <= 1:
         return 1

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError
+
 MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
 _M1 = 0xBF58476D1CE4E5B9
@@ -53,9 +55,9 @@ class SampleSeed:
 
     def __post_init__(self):
         if not 0 <= self.seed <= MASK64:
-            raise ValueError("seed must fit in 64 bits")
+            raise ValidationError("seed must fit in 64 bits")
         if self.stream < 0:
-            raise ValueError("stream id must be nonnegative")
+            raise ValidationError("stream id must be nonnegative")
 
     def with_stream(self, stream: int) -> "SampleSeed":
         return SampleSeed(self.seed, stream)

@@ -17,9 +17,10 @@ from graphlimitlab import (
     run_entropy_audit,
     run_speed,
     sample_wrandom,
-    save_graphon,
     StepGraphon,
+    to_graph6,
 )
+from graphlimitlab import cli
 
 K3 = ForbiddenFamily([SimpleGraph.complete(3)])
 
@@ -44,7 +45,6 @@ class TestConfig:
         config = ExperimentConfig(family=K3, sizes=(10,))
         npairs = 45
         assert config.burnin_for(10) == math.ceil(20 * npairs * math.log(npairs))
-        assert config.gap_for(10) == npairs
         assert config.burnin_for(2) == 64
 
     def test_family_resolution(self):
@@ -144,12 +144,16 @@ class TestConvergenceDriver:
                                                  samples=3, seed=9))
         assert report.to_csv_text() == again.to_csv_text()
 
-    def test_csv_write(self, tmp_path):
+    def test_csv_write(self, tmp_path, capsys):
+        family = tmp_path / "k3.g6"
+        family.write_text(to_graph6(SimpleGraph.complete(3)) + "\n")
         out = tmp_path / "report.csv"
-        config = ExperimentConfig(family=K3, sizes=(5,), samples=2, seed=4,
-                                  out=str(out))
-        report = run_convergence(config)
-        assert out.read_text() == report.to_csv_text()
+        assert cli.main(["converge", "--family", str(family), "--sizes", "5",
+                         "--samples", "2", "--seed", "4",
+                         "--out", str(out)]) == cli.EXIT_OK
+        assert capsys.readouterr().out == ""
+        config = ExperimentConfig(family=K3, sizes=(5,), samples=2, seed=4)
+        assert out.read_text() == run_convergence(config).to_csv_text()
 
 
 class TestDistanceEstimator:
@@ -179,44 +183,29 @@ class TestDistanceEstimator:
 
 
 class TestCouplingDemo:
-    def test_containment_certified(self, tmp_path):
-        low_path = tmp_path / "low.json"
-        high_path = tmp_path / "high.json"
-        save_graphon(make_wrs(2, 0), low_path)
-        save_graphon(StepGraphon.constant(0.5), high_path)
-        config = ExperimentConfig(
-            sizes=(10, 20), samples=50, seed=3,
-            graphon_low_path=str(low_path), graphon_high_path=str(high_path),
-        )
-        report = run_coupling_demo(config)
+    def test_containment_certified(self):
+        config = ExperimentConfig(sizes=(10, 20), samples=50, seed=3)
+        report = run_coupling_demo(config, make_wrs(2, 0),
+                                   StepGraphon.constant(0.5))
         for n, contained, samples, low_density, high_density in report.rows:
             assert contained == samples == 50
             assert low_density <= high_density
 
-    def test_identical_graphons_have_equal_densities(self, tmp_path):
-        path = tmp_path / "w.json"
-        save_graphon(make_wrs(2, 0), path)
-        config = ExperimentConfig(
-            sizes=(15,), samples=20, seed=8,
-            graphon_low_path=str(path), graphon_high_path=str(path),
-        )
-        report = run_coupling_demo(config)
+    def test_identical_graphons_have_equal_densities(self):
+        W = make_wrs(2, 0)
+        config = ExperimentConfig(sizes=(15,), samples=20, seed=8)
+        report = run_coupling_demo(config, W, W)
         _, contained, samples, low_density, high_density = report.rows[0]
         assert contained == samples
         assert low_density == high_density
 
-    def test_order_violation_rejected(self, tmp_path):
-        low_path = tmp_path / "low.json"
-        high_path = tmp_path / "high.json"
-        save_graphon(StepGraphon.constant(0.9), low_path)
-        save_graphon(StepGraphon.constant(0.1), high_path)
-        config = ExperimentConfig(
-            sizes=(5,), samples=2,
-            graphon_low_path=str(low_path), graphon_high_path=str(high_path),
-        )
+    def test_order_violation_rejected(self):
+        config = ExperimentConfig(sizes=(5,), samples=2)
         with pytest.raises(ValidationError):
-            run_coupling_demo(config)
+            run_coupling_demo(config, StepGraphon.constant(0.9),
+                              StepGraphon.constant(0.1))
 
     def test_missing_inputs_rejected(self):
+        config = ExperimentConfig(sizes=(5,), samples=1)
         with pytest.raises(ValidationError):
-            run_coupling_demo(ExperimentConfig(sizes=(5,), samples=1))
+            run_coupling_demo(config, None, StepGraphon.constant(0.5))
