@@ -295,7 +295,10 @@ def speed_exponent(fam: ForbiddenFamily, n: int,
     """log2 of the labeled count, normalized by the number of vertex pairs."""
     if n < 2:
         raise ValidationError("speed exponent needs n >= 2")
-    count = count_labeled(fam, n, predicate=predicate)
+    return _exponent(count_labeled(fam, n, predicate=predicate), n)
+
+
+def _exponent(count: int, n: int) -> float:
     if count == 0:
         return -math.inf
     return math.log2(count) / (n * (n - 1) // 2)
@@ -304,7 +307,7 @@ def speed_exponent(fam: ForbiddenFamily, n: int,
 def count_result(fam: ForbiddenFamily, n: int) -> CountResult:
     labeled = count_labeled(fam, n)
     unlabeled = count_unlabeled(fam, n)
-    exponent = speed_exponent(fam, n) if n >= 2 else math.nan
+    exponent = _exponent(labeled, n) if n >= 2 else math.nan
     return CountResult(n, labeled, unlabeled, exponent)
 
 
@@ -369,38 +372,29 @@ def mcmc_trace(fam: ForbiddenFamily, n: int, checkpoints,
     oracle = AnchoredOracle(fam)
     adj = [0] * n
     deg = [0] * n
-    edges: set = set()
     snapshots = []
-    next_checkpoint = 0
-    for t in range(checkpoints[-1] + 1):
-        while (next_checkpoint < len(checkpoints)
-               and checkpoints[next_checkpoint] == t):
-            snapshots.append(SimpleGraph(n, frozenset(edges)))
-            next_checkpoint += 1
-        if t == checkpoints[-1]:
-            break
-        if stream.raw(2 * t) >> 63:
-            continue
-        e = stream.raw(2 * t + 1) % npairs
-        i, j = pairs[e]
-        if adj[i] >> j & 1:
-            adj[i] &= ~(1 << j)
-            adj[j] &= ~(1 << i)
-            deg[i] -= 1
-            deg[j] -= 1
-            edges.remove((i, j))
-        else:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-            deg[i] += 1
-            deg[j] += 1
-            if oracle.edge_ok(adj, deg, i, j):
-                edges.add((i, j))
+    done = 0
+    for checkpoint in checkpoints:
+        for t in range(done, checkpoint):
+            if stream.raw(2 * t) >> 63:
+                continue
+            i, j = pairs[stream.raw(2 * t + 1) % npairs]
+            adj[i] ^= 1 << j
+            adj[j] ^= 1 << i
+            if adj[i] >> j & 1:
+                deg[i] += 1
+                deg[j] += 1
+                if not oracle.edge_ok(adj, deg, i, j):
+                    adj[i] ^= 1 << j
+                    adj[j] ^= 1 << i
+                    deg[i] -= 1
+                    deg[j] -= 1
             else:
-                adj[i] &= ~(1 << j)
-                adj[j] &= ~(1 << i)
                 deg[i] -= 1
                 deg[j] -= 1
+        done = checkpoint
+        snapshots.append(SimpleGraph(n, frozenset(
+            (i, j) for i, j in pairs if adj[i] >> j & 1)))
     return snapshots
 
 

@@ -25,11 +25,9 @@ from .census import (
 )
 from .errors import ValidationError
 from .graphon import (
-    EXACT_CUT_NORM_THRESHOLD,
     StepGraphon,
+    aligned_cut_norm,
     cap_at_half,
-    cut_norm,
-    cut_norm_estimate,
     difference_kernel,
     empirical_graphon,
     entropy,
@@ -50,10 +48,8 @@ _STREAM_COUPLE = 5_000_000
 _STREAM_EXACT = 6_000_000
 _STREAM_PARTITION = 7_000_000
 
-# local-search starts of the partition search and of the cut-norm hill
-# climb beyond EXACT_CUT_NORM_THRESHOLD blocks
+# local-search starts of the partition search
 PARTITION_RESTARTS = 16
-ESTIMATE_RESTARTS = 8
 
 
 @dataclass
@@ -167,11 +163,11 @@ def estimate_distance_to_block_target(G: SimpleGraph, r: int,
     first-improvement single-vertex moves) minimizes intra-part edges plus
     the deviation of every cross density from 1/2; the vertices are then
     ordered part by part and the cut norm of the difference kernel on the
-    partition-refined common structure is taken.  With at most
-    EXACT_CUT_NORM_THRESHOLD blocks that norm is exact, and, since any
-    alignment is a coupling, an upper bound on the cut distance.  Beyond
-    it the value is a hill-climbed lower bound on the aligned norm, so it
-    bounds the cut distance from neither side.
+    partition-refined common structure is taken by ``aligned_cut_norm``.
+    With at most 20 blocks that norm is exact, and, since any alignment is
+    a coupling, an upper bound on the cut distance.  Beyond it the value
+    is a hill-climbed lower bound on the aligned norm, so it bounds the
+    cut distance from neither side.
     """
     if r < 1:
         raise ValidationError("target needs r >= 1")
@@ -181,12 +177,9 @@ def estimate_distance_to_block_target(G: SimpleGraph, r: int,
     for pos, v in enumerate(order):
         position[v] = pos
     aligned = empirical_graphon(G.relabeled(position))
-    kernel = difference_kernel(aligned, make_wrs(r, 0))
-    if kernel.k <= EXACT_CUT_NORM_THRESHOLD:
-        return cut_norm(kernel)
-    return cut_norm_estimate(
-        kernel, restarts=ESTIMATE_RESTARTS,
-        seed=SampleSeed(seed.seed, seed.stream + _STREAM_PARTITION),
+    return aligned_cut_norm(
+        difference_kernel(aligned, make_wrs(r, 0)),
+        SampleSeed(seed.seed, seed.stream + _STREAM_PARTITION),
     )
 
 

@@ -33,6 +33,10 @@ from .graphs import SimpleGraph
 from .rng import SampleSeed, SequentialDraws
 
 EXACT_CUT_NORM_THRESHOLD = 20
+# hill-climb starts of the estimate beyond EXACT_CUT_NORM_THRESHOLD blocks
+ESTIMATE_RESTARTS = 8
+# starts of the LOCAL_SEARCH alignment in cut_distance
+ALIGNMENT_RESTARTS = 4
 MEASURE_SUM_TOLERANCE = 1e-12
 INFINITY = math.inf
 
@@ -358,6 +362,16 @@ def cut_norm_estimate(K: StepKernel, restarts: int = 8,
     return float(Fraction(best, denom))
 
 
+def aligned_cut_norm(K: StepKernel,
+                     seed: Optional[SampleSeed] = None) -> float:
+    """cut_norm(K) at most EXACT_CUT_NORM_THRESHOLD blocks; beyond, the
+    estimate from ESTIMATE_RESTARTS hill climbs seeded by ``seed``, a
+    lower bound on it."""
+    if K.k <= EXACT_CUT_NORM_THRESHOLD:
+        return cut_norm(K)
+    return cut_norm_estimate(K, restarts=ESTIMATE_RESTARTS, seed=seed)
+
+
 # ---------------------------------------------------------------------------
 # Cut distance
 # ---------------------------------------------------------------------------
@@ -374,29 +388,31 @@ def _equal_block_expansion(W: StepGraphon, blocks: int) -> np.ndarray:
     return np.repeat(np.repeat(W.values, reps, axis=0), reps, axis=1)
 
 
-def _permuted_kernel_norm(values1: np.ndarray, values2: np.ndarray,
-                          measures, perm) -> float:
+def _permuted_kernel(values1: np.ndarray, values2: np.ndarray, measures,
+                     perm) -> StepKernel:
     idx = np.array(perm)
-    diff = values1[np.ix_(idx, idx)] - values2
-    return cut_norm(StepKernel(measures, diff))
+    return StepKernel(measures, values1[np.ix_(idx, idx)] - values2)
 
 
 def cut_distance(W1: StepGraphon, W2: StepGraphon,
                  mode: AlignmentMode = AlignmentMode.EXACT_PERMUTATION,
-                 seed: Optional[SampleSeed] = None,
-                 restarts: int = 4) -> float:
-    """Upper bound on the cut distance between two step graphons.
+                 seed: Optional[SampleSeed] = None) -> float:
+    """Cut norm of W1 - W2, minimized over restricted alignments.
 
     Alignment is restricted to block permutations of a common equal-block
     refinement (EXACT_PERMUTATION, exhaustive) or to measure-preserving
-    block permutations found by local search (LOCAL_SEARCH).  The true
-    cut distance infimizes over all measure-preserving bijections, so the
-    returned value is an upper bound; it is exact when the graphons are
-    equal up to block permutation.
+    block permutations found by local search (LOCAL_SEARCH, from
+    ALIGNMENT_RESTARTS starts).  The true cut distance infimizes over all
+    measure-preserving bijections, so when every compared norm is exact
+    (EXACT_PERMUTATION always; LOCAL_SEARCH at most
+    EXACT_CUT_NORM_THRESHOLD refined blocks) the value is an upper bound,
+    exact when the graphons are equal up to block permutation.  Beyond
+    that threshold LOCAL_SEARCH minimizes hill-climbed lower bounds on the
+    aligned norms, so the value bounds the cut distance from neither side.
     """
     if mode is AlignmentMode.EXACT_PERMUTATION:
         return _cut_distance_exact(W1, W2)
-    return _cut_distance_local(W1, W2, seed, restarts)
+    return _cut_distance_local(W1, W2, seed)
 
 
 def _cut_distance_exact(W1: StepGraphon, W2: StepGraphon) -> float:
@@ -421,7 +437,8 @@ def _cut_distance_exact(W1: StepGraphon, W2: StepGraphon) -> float:
         if key in seen:
             continue
         seen.add(key)
-        value = _permuted_kernel_norm(values1, values2, measures, perm)
+        value = aligned_cut_norm(
+            _permuted_kernel(values1, values2, measures, perm))
         if best is None or value < best:
             best = value
             if best == 0.0:
@@ -430,21 +447,18 @@ def _cut_distance_exact(W1: StepGraphon, W2: StepGraphon) -> float:
 
 
 def _cut_distance_local(W1: StepGraphon, W2: StepGraphon,
-                        seed: Optional[SampleSeed], restarts: int) -> float:
+                        seed: Optional[SampleSeed]) -> float:
     measures, ia, ib = common_refinement(W1, W2)
     values1 = _refined_values(W1, ia)
     values2 = _refined_values(W2, ib)
     k = len(measures)
     seed = seed if seed is not None else SampleSeed(0)
     draws = SequentialDraws(seed)
+    estimate_seed = seed.with_stream(seed.stream + 1)
 
     def norm_for(perm) -> float:
-        diff = values1[np.ix_(np.array(perm), np.array(perm))] - values2
-        kernel = StepKernel(measures, diff)
-        if k <= EXACT_CUT_NORM_THRESHOLD:
-            return cut_norm(kernel)
-        return cut_norm_estimate(kernel, restarts=8, seed=seed.with_stream(
-            seed.stream + 1))
+        return aligned_cut_norm(
+            _permuted_kernel(values1, values2, measures, perm), estimate_seed)
 
     # only blocks of equal measure may be exchanged
     groups = {}
@@ -472,7 +486,7 @@ def _cut_distance_local(W1: StepGraphon, W2: StepGraphon,
         return value
 
     best = climb(range(k))
-    for _ in range(max(0, restarts - 1)):
+    for _ in range(ALIGNMENT_RESTARTS - 1):
         perm = list(range(k))
         for group in swappable:  # seeded Fisher-Yates within each group
             for a in range(len(group) - 1, 0, -1):

@@ -4,8 +4,9 @@ Contains the SimpleGraph value type, subgraph containment (non-induced
 throughout), exact chromatic number, clique/independent-set partitions,
 a homegrown canonical form with automorphism counting, and graph6 I/O.
 
-One subgraph-embedding engine, ``_ExtensionPlan``, serves both
-``contains_subgraph`` (a plan with no anchors) and the anchored
+One subgraph-embedding engine, ``_ExtensionPlan``, serves
+``contains_subgraph`` (a plan with no anchors), ``automorphism_count``
+(plans anchored at a prefix of the vertices) and the anchored
 incremental tests of ``census.AnchoredOracle``.
 
 All exact searches carry explicit vertex budgets and raise BudgetError
@@ -557,8 +558,11 @@ def automorphism_count(G: SimpleGraph) -> int:
     """|Aut(G)| by the orbit-stabilizer chain over the vertex base 0..n-1.
 
     The orbit of base vertex i under the pointwise stabilizer of 0..i-1 is
-    found by one constrained-isomorphism search per candidate image; the
-    group order is the product of the orbit sizes.
+    found by one embedding search per candidate image u: an extension plan
+    anchored at 0..i places 0..i-1 on themselves and i on u.  An
+    edge-preserving injection of a finite graph into itself is an
+    automorphism, so the search is exact.  The group order is the product
+    of the orbit sizes.
     """
     if G.n > CANONICAL_BUDGET:
         raise BudgetError(
@@ -571,47 +575,15 @@ def automorphism_count(G: SimpleGraph) -> int:
 
     total = 1
     for i in range(n):
-        orbit = 1
-        for u in range(i + 1, n):
-            if deg[u] == deg[i] and _extends_to_automorphism(n, adj, deg, i, u):
-                orbit += 1
-        total *= orbit
+        low = (1 << i) - 1
+        candidates = [u for u in range(i + 1, n)
+                      if deg[u] == deg[i] and adj[u] & low == adj[i] & low]
+        if candidates:
+            plan = _ExtensionPlan(adj, deg, list(range(i + 1)))
+            prefix = tuple(range(i))
+            total *= 1 + sum(plan.embeds(adj, deg, prefix + (u,))
+                             for u in candidates)
     return total
-
-
-def _extends_to_automorphism(n: int, adj: list, deg: list, i: int, u: int) -> bool:
-    """Is there an automorphism fixing 0..i-1 pointwise with i -> u?"""
-    for v in range(i):  # prescribed part must already be consistent
-        if adj[i] >> v & 1 != adj[u] >> v & 1:
-            return False
-    image = list(range(i)) + [u]
-    used = (1 << i) - 1 | (1 << u)
-
-    def rec(v: int) -> bool:
-        nonlocal used
-        if v == n:
-            return True
-        required = 0
-        image_mask = 0
-        for w in range(v):
-            image_mask |= 1 << image[w]
-            if adj[v] >> w & 1:
-                required |= 1 << image[w]
-        for t in range(n):
-            if used >> t & 1 or deg[t] != deg[v]:
-                continue
-            if adj[t] & image_mask != required:
-                continue
-            image.append(t)
-            used |= 1 << t
-            if rec(v + 1):
-                return True
-            image.pop()
-            used &= ~(1 << t)
-        return False
-
-    # position i itself is already assigned; continue from i+1
-    return rec(i + 1)
 
 
 def isomorphic(G: SimpleGraph, H: SimpleGraph) -> bool:

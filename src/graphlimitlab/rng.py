@@ -89,9 +89,6 @@ class SequentialDraws(CounterStream):
         self.position += 1
         return value
 
-    def next_uniform(self) -> float:
-        return (self.next_raw() >> 11) * TWO_NEG_53
-
     def next_below(self, bound: int) -> int:
         """Uniform integer in [0, bound) by rejection; exact, no modulo bias."""
         if bound <= 0:

@@ -18,8 +18,6 @@ from .graphon import StepGraphon, pointwise_leq
 from .graphs import SimpleGraph, all_pairs
 from .rng import TWO_NEG_53, CounterStream, SampleSeed
 
-_ONE = Fraction(1)
-
 
 def _latent_blocks(W: StepGraphon, n: int, stream: CounterStream) -> list:
     """Block index of each latent X_i, resolved with exact rationals."""
@@ -51,27 +49,12 @@ def sample_coupled(Wlow: StepGraphon, Whigh: StepGraphon, n: int,
                    seed: SampleSeed):
     """Coupled pair (G_low, G_high) with E(G_low) contained in E(G_high), surely.
 
-    Requires Wlow <= Whigh pointwise.  Both graphs reuse the same latents
-    and the same per-pair uniform; an edge enters each graph iff its
-    uniform falls below that graphon's value, so containment is an
-    identity, not a statistical event.
+    Requires Wlow <= Whigh pointwise.  Both graphs are sample_wrandom draws
+    with the same seed, so they read the same latents and the same
+    per-pair uniform; an edge enters each graph iff its uniform falls
+    below that graphon's value, so containment is an identity, not a
+    statistical event.
     """
-    if n < 1:
-        raise ValidationError("need at least one vertex")
     if not pointwise_leq(Wlow, Whigh):
         raise ValidationError("sample_coupled requires Wlow <= Whigh pointwise")
-    stream = CounterStream(seed)
-    blocks_low = _latent_blocks(Wlow, n, stream)
-    blocks_high = _latent_blocks(Whigh, n, stream)
-    low_values = Wlow.values
-    high_values = Whigh.values
-    edges_low = []
-    edges_high = []
-    for p, (i, j) in enumerate(all_pairs(n)):
-        u = (stream.raw(n + p) >> 11) * TWO_NEG_53
-        if u < low_values[blocks_low[i], blocks_low[j]]:
-            edges_low.append((i, j))
-        if u < high_values[blocks_high[i], blocks_high[j]]:
-            edges_high.append((i, j))
-    return (SimpleGraph.from_edges(n, edges_low),
-            SimpleGraph.from_edges(n, edges_high))
+    return sample_wrandom(Wlow, n, seed), sample_wrandom(Whigh, n, seed)

@@ -28,6 +28,34 @@ from graphlimitlab.census import AnchoredOracle
 from graphlimitlab.graphs import PartKind
 
 
+def brute_aut(G):
+    """Oracle: the vertex permutations that map the edge set onto itself."""
+    return sum(
+        1 for p in permutations(range(G.n))
+        if frozenset((min(p[i], p[j]), max(p[i], p[j])) for i, j in G.edges)
+        == G.edges
+    )
+
+
+@st.composite
+def small_graphs(draw):
+    """Graphs on at most 7 vertices: arbitrary edge sets, and blow-ups of a
+    pattern on 3 classes (vertices of one class are twins), whose
+    automorphism groups are large."""
+    n = draw(st.integers(0, 7))
+    pairs = list(combinations(range(n), 2))
+    if draw(st.booleans()):
+        mask = draw(st.integers(0, (1 << len(pairs)) - 1))
+        return SimpleGraph.from_edges(
+            n, [p for b, p in enumerate(pairs) if mask >> b & 1])
+    classes = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    pattern = {tuple(sorted(ab)) for ab in draw(
+        st.sets(st.tuples(st.integers(0, 2), st.integers(0, 2))))}
+    return SimpleGraph.from_edges(
+        n, [(i, j) for i, j in pairs
+            if tuple(sorted((classes[i], classes[j]))) in pattern])
+
+
 def brute_contains(G, F):
     """Oracle: exhaustive injective map search."""
     if F.n > G.n:
@@ -302,16 +330,6 @@ class TestCanonicalForm:
                           SimpleGraph.complete_bipartite(2, 2))
 
     def test_automorphism_counts(self):
-        def brute_aut(G):
-            count = 0
-            for p in permutations(range(G.n)):
-                if all(
-                    G.has_edge(p[i], p[j]) == G.has_edge(i, j)
-                    for i, j in combinations(range(G.n), 2)
-                ):
-                    count += 1
-            return count
-
         assert automorphism_count(SimpleGraph.cycle(5)) == 10
         assert brute_aut(SimpleGraph.cycle(5)) == 10
         for G in (SimpleGraph.empty(5), SimpleGraph.complete(4),
@@ -319,6 +337,19 @@ class TestCanonicalForm:
                   SimpleGraph.cycle(7)):
             assert automorphism_count(G) == brute_aut(G)
         assert automorphism_count(SimpleGraph.petersen()) == 120
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(small_graphs())
+    def test_automorphism_count_against_bruteforce(self, G):
+        assert automorphism_count(G) == brute_aut(G)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(small_graphs(), st.data())
+    def test_invariant_under_relabelling(self, G, data):
+        perm = data.draw(st.permutations(range(G.n)))
+        H = G.relabeled(list(perm))
+        assert canonical_key(H) == canonical_key(G)
+        assert automorphism_count(H) == automorphism_count(G)
 
     def test_canonical_form_returns_both(self):
         C5 = SimpleGraph.cycle(5)

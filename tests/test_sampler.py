@@ -1,5 +1,7 @@
 """W-random sampling and the monotone coupling."""
 
+from fractions import Fraction
+
 import pytest
 
 from graphlimitlab import (
@@ -8,6 +10,7 @@ from graphlimitlab import (
     StepGraphon,
     ValidationError,
     make_wrs,
+    pointwise_leq,
     sample_coupled,
     sample_wrandom,
 )
@@ -120,6 +123,20 @@ class TestSampleCoupled:
         seed = SampleSeed(42, 17)
         G_low, G_high = sample_coupled(W, W, 12, seed)
         assert G_low == sample_wrandom(W, 12, seed) == G_high
+        # two different ordered graphons with different block structures:
+        # each side is that graphon's own sample_wrandom draw
+        low = StepGraphon([Fraction(1, 3), Fraction(2, 3)],
+                          [[0.0, 0.25], [0.25, 0.5]])
+        high = StepGraphon([Fraction(1, 3)] * 3, [[1.0, 0.5, 0.75],
+                                                  [0.5, 0.75, 0.5],
+                                                  [0.75, 0.5, 0.625]])
+        assert pointwise_leq(low, high) and low != high
+        for stream in range(20):
+            seed = SampleSeed(43, stream)
+            G_low, G_high = sample_coupled(low, high, 12, seed)
+            assert G_low == sample_wrandom(low, 12, seed)
+            assert G_high == sample_wrandom(high, 12, seed)
+            assert G_low.edges <= G_high.edges
 
     def test_pointwise_order_enforced(self):
         with pytest.raises(ValidationError):
