@@ -15,8 +15,16 @@ reproduce byte-identical draws:
 All arithmetic is modulo 2^64.  Every draw is a pure function of
 (seed, stream, counter): streams are independent substreams for parallel
 work, and the counter indexes draws within a stream, so any draw can be
-produced out of order.  ``raw_array`` is the same function evaluated with
-numpy uint64 vector arithmetic and is bit-identical to ``raw``.
+produced out of order.  The numpy forms evaluate the same function with
+uint64 vector arithmetic and are bit-identical to ``raw``:
+
+    raw_block(key, start, count) = raw(start) .. raw(start + count - 1)
+                                   of the one stream with this key
+    raw_with_keys(keys, counter) = raw(counter) of many streams at once
+
+``raw_block`` lets a consumer that reads a run of consecutive counters
+(the Metropolis chain, the W-random sampler's pair uniforms) draw them
+with one numpy call instead of one Python call per counter.
 """
 
 from __future__ import annotations
@@ -68,10 +76,10 @@ class CounterStream:
 
     def __init__(self, seed: SampleSeed):
         self.seed = seed
-        self._key = stream_key(seed.seed, seed.stream)
+        self.key = stream_key(seed.seed, seed.stream)
 
     def raw(self, counter: int) -> int:
-        return mix64((self._key + (counter + 1) * GAMMA) & MASK64)
+        return mix64((self.key + (counter + 1) * GAMMA) & MASK64)
 
     def uniform(self, counter: int) -> float:
         return (self.raw(counter) >> 11) * TWO_NEG_53
@@ -105,6 +113,13 @@ def stream_keys_array(seed: int, streams: np.ndarray) -> np.ndarray:
     s = np.asarray(streams, dtype=np.uint64)
     keys = _mix64_np((s + np.uint64(1)) * np.uint64(GAMMA))
     return _mix64_np(np.uint64(seed & MASK64) ^ keys)
+
+
+def raw_block(key: int, start: int, count: int) -> np.ndarray:
+    """raw(start) .. raw(start + count - 1) of the stream with this key;
+    bit-identical to ``CounterStream.raw``."""
+    counters = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    return _mix64_np(counters * np.uint64(GAMMA) + np.uint64(key))
 
 
 def raw_with_keys(keys: np.ndarray, counter: int) -> np.ndarray:

@@ -13,36 +13,41 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import ValidationError
 from .graphon import StepGraphon, pointwise_leq
 from .graphs import SimpleGraph, all_pairs
-from .rng import TWO_NEG_53, CounterStream, SampleSeed
+from .rng import TWO_NEG_53, CounterStream, SampleSeed, raw_block
 
 
 def _latent_blocks(W: StepGraphon, n: int, stream: CounterStream) -> list:
     """Block index of each latent X_i, resolved with exact rationals."""
     cuts = W.boundaries()
     k = W.k
-    blocks = []
-    for i in range(n):
-        x = Fraction(stream.raw(i) >> 11, 1 << 53)
-        blocks.append(min(bisect_right(cuts, x), k - 1))
-    return blocks
+    return [min(bisect_right(cuts, Fraction(m, 1 << 53)), k - 1)
+            for m in (raw_block(stream.key, 0, n) >> np.uint64(11)).tolist()]
 
 
 def sample_wrandom(W: StepGraphon, n: int, seed: SampleSeed) -> SimpleGraph:
-    """W-random graph: latent uniforms X_i, edge {i,j} with prob W(X_i, X_j)."""
+    """W-random graph: latent uniforms X_i, edge {i,j} with prob W(X_i, X_j).
+
+    The pair uniforms (counters n .. n + C(n,2) - 1) are read as one block
+    and compared as an array: every (draw >> 11) is below 2^53, so it and
+    its product with 2^-53 are exact in float64, as in the scalar
+    expression, and a uniform is never below a zero probability.
+    """
     if n < 1:
         raise ValidationError("need at least one vertex")
     stream = CounterStream(seed)
-    blocks = _latent_blocks(W, n, stream)
-    values = W.values
-    edges = []
-    for p, (i, j) in enumerate(all_pairs(n)):
-        prob = values[blocks[i], blocks[j]]
-        if prob > 0.0 and (stream.raw(n + p) >> 11) * TWO_NEG_53 < prob:
-            edges.append((i, j))
-    return SimpleGraph.from_edges(n, edges)
+    blocks = np.array(_latent_blocks(W, n, stream), dtype=np.intp)
+    pairs = all_pairs(n)
+    rows, cols = np.triu_indices(n, 1)  # all_pairs order
+    prob = W.values[blocks[rows], blocks[cols]]
+    uniform = (raw_block(stream.key, n, len(pairs)) >> np.uint64(11)).astype(
+        np.float64) * TWO_NEG_53
+    hits = np.flatnonzero(uniform < prob).tolist()
+    return SimpleGraph.from_edges(n, [pairs[p] for p in hits])
 
 
 def sample_coupled(Wlow: StepGraphon, Whigh: StepGraphon, n: int,

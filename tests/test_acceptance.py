@@ -28,12 +28,9 @@ from graphlimitlab import (
     count_unlabeled,
     cut_norm,
     entropy,
-    graph_from_mask,
     labeled_class_masks,
     make_wrs,
-    mask_from_graph,
     mcmc_ensemble,
-    all_pairs,
     run_convergence,
     run_entropy_audit,
     sample_coupled,

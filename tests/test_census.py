@@ -5,6 +5,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from graphlimitlab import (
@@ -30,7 +32,8 @@ from graphlimitlab import (
     membership_table,
     speed_exponent,
 )
-from graphlimitlab.census import _census_cache
+from graphlimitlab.census import _CHAIN_BLOCK, AnchoredOracle, _census_cache
+from graphlimitlab.rng import CounterStream
 
 K3 = ForbiddenFamily([SimpleGraph.complete(3)])
 K2 = ForbiddenFamily([SimpleGraph.complete(2)])
@@ -179,7 +182,77 @@ class TestExactUniformSample:
                                  SampleSeed(0))
 
 
+def scalar_trace(fam, n, checkpoints, seed):
+    """Oracle: the chain drawn step by step, two scalar draws per step."""
+    pairs = all_pairs(n)
+    npairs = len(pairs)
+    stream = CounterStream(seed)
+    oracle = AnchoredOracle(fam)
+    adj = [0] * n
+    deg = [0] * n
+    snapshots = []
+    done = 0
+    for checkpoint in sorted(set(checkpoints)):
+        for t in range(done, checkpoint):
+            if stream.raw(2 * t) >> 63:
+                continue
+            i, j = pairs[stream.raw(2 * t + 1) % npairs]
+            adj[i] ^= 1 << j
+            adj[j] ^= 1 << i
+            if adj[i] >> j & 1:
+                deg[i] += 1
+                deg[j] += 1
+                if not oracle.edge_ok(adj, deg, i, j):
+                    adj[i] ^= 1 << j
+                    adj[j] ^= 1 << i
+                    deg[i] -= 1
+                    deg[j] -= 1
+            else:
+                deg[i] -= 1
+                deg[j] -= 1
+        done = checkpoint
+        snapshots.append(SimpleGraph(n, frozenset(
+            (i, j) for i, j in pairs if adj[i] >> j & 1)))
+    return snapshots
+
+
+CHAIN_MEMBERS = {
+    "K3": SimpleGraph.complete(3),
+    "C4": SimpleGraph.cycle(4),
+    "C5": SimpleGraph.cycle(5),
+    "K4": SimpleGraph.complete(4),
+    "P4": SimpleGraph.path(4),
+    "K3+K1": SimpleGraph.from_edges(4, [(0, 1), (0, 2), (1, 2)]),
+}
+# step counts on both sides of the first two block boundaries
+BOUNDARY_STEPS = (0, 1, _CHAIN_BLOCK - 1, _CHAIN_BLOCK, _CHAIN_BLOCK + 1,
+                  2 * _CHAIN_BLOCK + 1)
+
+
 class TestMcmc:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.sampled_from(sorted(CHAIN_MEMBERS)), st.integers(2, 12),
+           st.integers(0, 2**64 - 1), st.integers(0, 1000),
+           st.lists(st.sampled_from(BOUNDARY_STEPS) | st.integers(0, 300),
+                    min_size=1, max_size=5))
+    def test_block_chain_matches_scalar_steps(self, name, n, seed, stream,
+                                              checkpoints):
+        fam = ForbiddenFamily([CHAIN_MEMBERS[name]])
+        chain_seed = SampleSeed(seed, stream)
+        assert (mcmc_trace(fam, n, checkpoints, chain_seed)
+                == scalar_trace(fam, n, checkpoints, chain_seed))
+
+    def test_block_boundaries_unsorted_and_repeated(self):
+        # every boundary step count, out of order and twice over
+        checkpoints = [2 * _CHAIN_BLOCK + 1, _CHAIN_BLOCK, 1, _CHAIN_BLOCK,
+                       _CHAIN_BLOCK - 1, 0, _CHAIN_BLOCK + 1, 1]
+        for name in ("K3", "C5"):
+            fam = ForbiddenFamily([CHAIN_MEMBERS[name]])
+            seed = SampleSeed(31, 7)
+            trace = mcmc_trace(fam, 12, checkpoints, seed)
+            assert len(trace) == len(BOUNDARY_STEPS)
+            assert trace == scalar_trace(fam, 12, checkpoints, seed)
+
     def test_zero_steps_is_edgeless(self):
         assert mcmc_sample(K3, 6, 0, SampleSeed(0)).edge_count == 0
 
@@ -206,6 +279,29 @@ class TestMcmc:
         assert occupation.sum() == 12 * 400
         table = membership_table(K3, 5)
         assert table[np.nonzero(occupation)[0]].all()
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.lists(st.sampled_from(sorted(CHAIN_MEMBERS)), min_size=1,
+                    max_size=2, unique=True),
+           st.integers(2, 5), st.integers(0, 200), st.integers(1, 4),
+           st.integers(0, 2**64 - 1), st.integers(0, 1000))
+    def test_ensemble_matches_single_chain_runner(self, names, n, steps,
+                                                  chains, seed, stream):
+        fam = ForbiddenFamily([CHAIN_MEMBERS[name] for name in names])
+        finals, occupation = mcmc_ensemble(
+            fam, n, steps, SampleSeed(seed, stream), chains,
+            collect_occupation=True)
+        pairs = all_pairs(n)
+        expected = np.zeros(1 << len(pairs), dtype=np.int64)
+        for c in range(chains):
+            # the state after every step, from the single-chain runner
+            trace = mcmc_trace(fam, n, range(steps + 1),
+                               SampleSeed(seed, stream + c))
+            masks = [mask_from_graph(G, pairs) for G in trace]
+            assert masks[-1] == int(finals[c])
+            for mask in masks[1:]:
+                expected[mask] += 1
+        assert np.array_equal(occupation, expected)
 
     def test_final_state_distribution_uniform_at_n4(self):
         # 41 labeled triangle-free graphs on 4 vertices; enough independent

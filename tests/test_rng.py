@@ -2,13 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphlimitlab.rng import (
+    GAMMA,
+    MASK64,
     CounterStream,
     SampleSeed,
     SequentialDraws,
     mix64,
     raw_array,
+    raw_block,
     raw_with_keys,
     stream_keys_array,
 )
@@ -59,6 +64,27 @@ def test_numpy_path_bit_identical():
         for stream in (0, 7, 16):
             scalar = CounterStream(SampleSeed(seed, stream)).raw(counter)
             assert int(vector[stream]) == scalar
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.integers(0, MASK64), st.integers(0, 1 << 20),
+       st.integers(0, 1 << 40), st.integers(0, 300))
+def test_raw_block_matches_scalar(seed, stream, start, count):
+    counter_stream = CounterStream(SampleSeed(seed, stream))
+    block = raw_block(counter_stream.key, start, count)
+    assert block.dtype == np.uint64
+    assert block.tolist() == [
+        counter_stream.raw(c) for c in range(start, start + count)]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(0, 1 << 20), st.integers(0, 1 << 40), st.integers(1, 50))
+def test_raw_block_wraps_near_two_to_64(below, start, count):
+    # key + (c + 1) * GAMMA wraps modulo 2^64; the block must wrap alike
+    key = MASK64 - below
+    expected = [mix64((key + (c + 1) * GAMMA) & MASK64)
+                for c in range(start, start + count)]
+    assert raw_block(key, start, count).tolist() == expected
 
 
 def test_next_below_uniform_and_exact():

@@ -1,19 +1,50 @@
 """W-random sampling and the monotone coupling."""
 
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphlimitlab import (
     SampleSeed,
     SimpleGraph,
     StepGraphon,
     ValidationError,
+    all_pairs,
     make_wrs,
     pointwise_leq,
     sample_coupled,
     sample_wrandom,
 )
+from graphlimitlab.rng import TWO_NEG_53, CounterStream
+
+
+def scalar_wrandom(W, n, seed):
+    """Reference: the sampler's draw layout read one scalar draw at a time."""
+    stream = CounterStream(seed)
+    cuts = W.boundaries()
+    blocks = [min(bisect_right(cuts, Fraction(stream.raw(i) >> 11, 1 << 53)),
+                  W.k - 1) for i in range(n)]
+    edges = []
+    for p, (i, j) in enumerate(all_pairs(n)):
+        prob = W.values[blocks[i], blocks[j]]
+        if prob > 0.0 and (stream.raw(n + p) >> 11) * TWO_NEG_53 < prob:
+            edges.append((i, j))
+    return SimpleGraph.from_edges(n, edges)
+
+
+@st.composite
+def step_graphons(draw):
+    k = draw(st.integers(1, 4))
+    weights = draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
+    value = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
+    values = [[0.0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            values[i][j] = values[j][i] = draw(value)
+    return StepGraphon([Fraction(w, sum(weights)) for w in weights], values)
 
 
 def is_bipartite(G):
@@ -92,6 +123,14 @@ class TestSampleWrandom:
             for stream in range(samples):
                 total += sample_wrandom(W, n, SampleSeed(1618, stream)).edge_count
             assert abs(total / samples / npairs - p) < 0.02
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(step_graphons(), st.integers(1, 40), st.integers(0, 2**64 - 1),
+           st.integers(0, 1000))
+    def test_block_draws_match_scalar_reference(self, W, n, seed, stream):
+        sample_seed = SampleSeed(seed, stream)
+        assert sample_wrandom(W, n, sample_seed) == scalar_wrandom(
+            W, n, sample_seed)
 
     def test_needs_a_vertex(self):
         with pytest.raises(ValidationError):
