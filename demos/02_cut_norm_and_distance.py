@@ -8,8 +8,6 @@ greedy hill climbing (a guaranteed lower bound).
 
 from fractions import Fraction
 
-import numpy as np
-
 from graphlimitlab import (
     AlignmentMode,
     SampleSeed,

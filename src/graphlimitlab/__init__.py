@@ -64,11 +64,8 @@ from .graphs import (
     from_graph6,
     graph_from_mask,
     is_family_free,
-    isomorphic,
     load_family,
-    mask_from_graph,
     to_graph6,
-    write_graph6_lines,
 )
 from .rng import CounterStream, SampleSeed, SequentialDraws
 from .sampler import sample_coupled, sample_wrandom

@@ -6,8 +6,10 @@ downward-closed set of edge masks, orderly generation extends canonical
 representatives one vertex at a time, and the Metropolis chain only ever
 needs a membership test for the single toggled edge.
 
-Budgets: direct labeled enumeration up to n = 6, census-based counting up
-to n = 10 (with a candidate budget), exact uniform sampling up to n = 6.
+Budgets: direct labeled enumeration up to n = 6 (LABELED_DIRECT_BUDGET;
+exact uniform sampling and the membership table enumerate directly, so
+they share it), census-based counting up to n = 10 (with a candidate
+budget).
 Counts are Python integers, hence arbitrary precision.
 """
 
@@ -41,7 +43,6 @@ from .rng import (
 
 LABELED_DIRECT_BUDGET = 6
 CENSUS_BUDGET = 10
-UNIFORM_EXACT_BUDGET = 6
 DEFAULT_CANDIDATE_BUDGET = 2_000_000
 
 
@@ -318,11 +319,8 @@ def count_result(fam: ForbiddenFamily, n: int) -> CountResult:
 
 def exact_uniform_sample(fam: ForbiddenFamily, n: int,
                          seed: SampleSeed) -> SimpleGraph:
-    """Uniformly random labeled family-free graph by enumerate-and-index."""
-    if n > UNIFORM_EXACT_BUDGET:
-        raise BudgetError(
-            f"exact uniform sampling limited to n <= {UNIFORM_EXACT_BUDGET}"
-        )
+    """Uniformly random labeled family-free graph by enumerate-and-index,
+    n <= LABELED_DIRECT_BUDGET."""
     masks = labeled_class_masks(fam, n)
     if not masks:
         raise ValidationError("the class has no graphs at this size")
@@ -426,12 +424,11 @@ def mcmc_trace(fam: ForbiddenFamily, n: int, checkpoints,
 
 
 def membership_table(fam: ForbiddenFamily, n: int) -> np.ndarray:
-    """Boolean table over all edge masks: mask -> graph is family-free."""
-    pairs = all_pairs(n)
-    if len(pairs) > 15:
-        raise BudgetError("membership table limited to n <= 6")
-    table = np.zeros(1 << len(pairs), dtype=bool)
-    for mask in labeled_class_masks(fam, n):
+    """Boolean table over all edge masks: mask -> graph is family-free,
+    n <= LABELED_DIRECT_BUDGET."""
+    masks = labeled_class_masks(fam, n)
+    table = np.zeros(1 << (n * (n - 1) // 2), dtype=bool)
+    for mask in masks:
         table[mask] = True
     return table
 

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 from .census import (
     exact_uniform_sample,
     mcmc_trace,
-    UNIFORM_EXACT_BUDGET,
+    LABELED_DIRECT_BUDGET,
     count_labeled,
     count_result,
 )
@@ -75,9 +75,11 @@ class ExperimentConfig:
             raise ValidationError("sizes must be strictly increasing")
         if self.samples < 1:
             raise ValidationError("samples must be >= 1")
+        # stream ids are base + size index * _STRIDE + sample index
         if self.samples > _STRIDE:
-            # stream ids are base + size index * _STRIDE + sample index
             raise ValidationError(f"samples must be <= {_STRIDE}")
+        if len(self.sizes) > _STRIDE:
+            raise ValidationError(f"at most {_STRIDE} sizes are allowed")
         if self.burnin is not None and self.burnin < 0:
             raise ValidationError("burnin must be >= 0")
         if self.r_override is not None and self.r_override < 1:
@@ -291,14 +293,21 @@ def _resolve_r(config: ExperimentConfig, fam: ForbiddenFamily) -> int:
     return r
 
 
+def _sample_seed(config: ExperimentConfig, base: int, size_index: int,
+                 s: int) -> SampleSeed:
+    """Seed of sample s at one size for one purpose.  ExperimentConfig
+    keeps sizes and samples at most _STRIDE, so no two (base, size index,
+    sample) triples share a stream."""
+    return SampleSeed(config.seed, base + size_index * _STRIDE + s)
+
+
 def _uniform_samples(config: ExperimentConfig, fam: ForbiddenFamily,
                      n: int, size_index: int) -> list:
-    if n <= UNIFORM_EXACT_BUDGET:
+    if n <= LABELED_DIRECT_BUDGET:
         return [
             exact_uniform_sample(
                 fam, n,
-                SampleSeed(config.seed,
-                           _STREAM_EXACT + size_index * _STRIDE + s),
+                _sample_seed(config, _STREAM_EXACT, size_index, s),
             )
             for s in range(config.samples)
         ]
@@ -306,7 +315,7 @@ def _uniform_samples(config: ExperimentConfig, fam: ForbiddenFamily,
     return [
         mcmc_trace(
             fam, n, [burnin],
-            SampleSeed(config.seed, _STREAM_CHAIN + size_index * _STRIDE + s),
+            _sample_seed(config, _STREAM_CHAIN, size_index, s),
         )[0]
         for s in range(config.samples)
     ]
@@ -332,8 +341,7 @@ def run_convergence(config: ExperimentConfig) -> ExperimentReport:
         distances = [
             estimate_distance_to_block_target(
                 G, r,
-                SampleSeed(config.seed,
-                           _STREAM_ESTIMATE + size_index * _STRIDE + s),
+                _sample_seed(config, _STREAM_ESTIMATE, size_index, s),
             )
             for s, G in enumerate(graphs)
         ]
@@ -346,17 +354,14 @@ def run_convergence(config: ExperimentConfig) -> ExperimentReport:
         calibration = [
             sample_wrandom(
                 target, n,
-                SampleSeed(config.seed,
-                           _STREAM_CALIBRATE + size_index * _STRIDE + s),
+                _sample_seed(config, _STREAM_CALIBRATE, size_index, s),
             )
             for s in range(config.samples)
         ]
         floor = [
             estimate_distance_to_block_target(
                 G, r,
-                SampleSeed(config.seed,
-                           _STREAM_CALIBRATE_ESTIMATE
-                           + size_index * _STRIDE + s),
+                _sample_seed(config, _STREAM_CALIBRATE_ESTIMATE, size_index, s),
             )
             for s, G in enumerate(calibration)
         ]
@@ -489,8 +494,7 @@ def run_coupling_demo(config: ExperimentConfig, low: StepGraphon,
         for s in range(config.samples):
             G_low, G_high = sample_coupled(
                 low, high, n,
-                SampleSeed(config.seed,
-                           _STREAM_COUPLE + size_index * _STRIDE + s),
+                _sample_seed(config, _STREAM_COUPLE, size_index, s),
             )
             if G_low.edges <= G_high.edges:
                 contained += 1

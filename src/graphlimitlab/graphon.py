@@ -140,10 +140,6 @@ class StepKernel(_StepFunction):
 
     _LOW = -1.0
 
-    @staticmethod
-    def zero(k: int = 1) -> "StepKernel":
-        return StepKernel([Fraction(1, k)] * k, np.zeros((k, k)))
-
 
 def make_wrs(r, s: int = 0) -> StepGraphon:
     """Block benchmark graphon: r equal blocks, 1/2 off the diagonal,

@@ -7,7 +7,12 @@ a homegrown canonical form with automorphism counting, and graph6 I/O.
 One subgraph-embedding engine, ``_ExtensionPlan``, serves
 ``contains_subgraph`` (a plan with no anchors), ``automorphism_count``
 (plans anchored at a prefix of the vertices) and the anchored
-incremental tests of ``census.AnchoredOracle``.
+incremental tests of ``census.AnchoredOracle``.  One partition search,
+``_partition``, serves ``crs_member`` and ``chromatic_number`` (the least
+r for which it splits G into r independent sets).
+
+``canonical_key`` is uncached: the census labels each extension once, and
+a ForbiddenFamily labels each member once, when it is built.
 
 All exact searches carry explicit vertex budgets and raise BudgetError
 beyond them rather than approximating.
@@ -18,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Optional
 
@@ -137,14 +141,6 @@ def graph_from_mask(n: int, mask: int, pairs: list) -> SimpleGraph:
     return SimpleGraph.from_edges(n, edges)
 
 
-def mask_from_graph(G: SimpleGraph, pairs: list) -> int:
-    index = {p: b for b, p in enumerate(pairs)}
-    mask = 0
-    for e in G.edges:
-        mask |= 1 << index[e]
-    return mask
-
-
 # ---------------------------------------------------------------------------
 # Subgraph containment (non-induced)
 # ---------------------------------------------------------------------------
@@ -252,19 +248,20 @@ class _ExtensionPlan:
 class ForbiddenFamily:
     """Finite list of forbidden subgraphs, deduplicated up to isomorphism.
 
+    Members are keyed by (vertex count, canonical key): every edgeless
+    graph has the key (), so the vertex count is part of the identity.
+    The sorted tuple of these keys is the family's cache key.
+
     An empty family forbids nothing: every graph is family-free and the
     coloring number is infinite.
     """
 
     def __init__(self, members: Iterable[SimpleGraph] = ()):
-        unique = []
-        seen = set()
+        unique = {}
         for F in members:
-            key = canonical_key(F)
-            if key not in seen:
-                seen.add(key)
-                unique.append(F)
-        self.members = tuple(unique)
+            unique.setdefault((F.n, canonical_key(F)), F)
+        self.members = tuple(unique.values())
+        self._key = tuple(sorted(unique))
 
     def __len__(self) -> int:
         return len(self.members)
@@ -276,7 +273,7 @@ class ForbiddenFamily:
         return f"ForbiddenFamily({list(self.members)!r})"
 
     def key(self) -> tuple:
-        return tuple(sorted((F.n, canonical_key(F)) for F in self.members))
+        return self._key
 
 
 def is_family_free(G: SimpleGraph, fam: ForbiddenFamily) -> bool:
@@ -291,94 +288,7 @@ def coloring_number(fam: ForbiddenFamily):
 
 
 # ---------------------------------------------------------------------------
-# Exact chromatic number
-# ---------------------------------------------------------------------------
-
-def chromatic_number(G: SimpleGraph) -> int:
-    """Exact chromatic number; branch and bound, n <= 16."""
-    if G.n > CHROMATIC_BUDGET:
-        raise BudgetError(f"chromatic_number limited to n <= {CHROMATIC_BUDGET}")
-    if G.n == 0:
-        return 0
-    if not G.edges:
-        return 1
-
-    adj = G.adjacency_masks()
-    deg = G.degrees()
-    clique = _greedy_clique(G.n, adj, deg)
-    lower = len(clique)
-    upper, _ = _dsatur(G.n, adj, deg)
-    if lower == upper:
-        return lower
-
-    # clique vertices first: the used+1 color rule then forces them onto
-    # distinct colors, which breaks color-permutation symmetry for free
-    rest = sorted((v for v in range(G.n) if v not in clique),
-                  key=lambda v: -deg[v])
-    order = list(clique) + rest
-
-    for k in range(lower, upper):
-        if _colorable(G.n, adj, order, k):
-            return k
-    return upper
-
-
-def _greedy_clique(n: int, adj: list, deg: list) -> list:
-    best = []
-    for start in sorted(range(n), key=lambda v: -deg[v])[:4]:
-        clique = [start]
-        common = adj[start]
-        while common:
-            v = max((u for u in range(n) if common >> u & 1),
-                    key=lambda u: bin(common & adj[u]).count("1"))
-            clique.append(v)
-            common &= adj[v]
-        if len(clique) > len(best):
-            best = clique
-    return best
-
-
-def _dsatur(n: int, adj: list, deg: list):
-    colors = [-1] * n
-    neighbor_colors = [0] * n
-    for _ in range(n):
-        v = max((u for u in range(n) if colors[u] == -1),
-                key=lambda u: (bin(neighbor_colors[u]).count("1"), deg[u]))
-        c = 0
-        while neighbor_colors[v] >> c & 1:
-            c += 1
-        colors[v] = c
-        for u in range(n):
-            if adj[v] >> u & 1:
-                neighbor_colors[u] |= 1 << c
-    return max(colors) + 1, colors
-
-
-def _colorable(n: int, adj: list, order: list, k: int) -> bool:
-    colors = [-1] * n
-
-    def rec(idx: int, used: int) -> bool:
-        if idx == n:
-            return True
-        v = order[idx]
-        banned = 0
-        for u in range(n):
-            if adj[v] >> u & 1 and colors[u] >= 0:
-                banned |= 1 << colors[u]
-        for c in range(min(used + 1, k)):
-            if banned >> c & 1:
-                continue
-            colors[v] = c
-            if rec(idx + 1, max(used, c + 1)):
-                return True
-        colors[v] = -1
-        return False
-
-    return rec(0, 0)
-
-
-# ---------------------------------------------------------------------------
-# Partitions into cliques and independent sets
+# Partitions into cliques and independent sets; chromatic number
 # ---------------------------------------------------------------------------
 
 class PartKind(Enum):
@@ -392,33 +302,11 @@ class CrsWitness:
 
     assignment: dict
 
-    def verify(self, G: SimpleGraph, r: int, s: int) -> bool:
-        if set(self.assignment) != set(range(G.n)):
-            return False
-        parts = {}
-        for v, (idx, kind) in self.assignment.items():
-            if not 0 <= idx < r:
-                return False
-            expected = PartKind.CLIQUE if idx < s else PartKind.INDEPENDENT
-            if kind is not expected:
-                return False
-            parts.setdefault(idx, []).append(v)
-        for idx, vs in parts.items():
-            kind = PartKind.CLIQUE if idx < s else PartKind.INDEPENDENT
-            for a, b in combinations(vs, 2):
-                if kind is PartKind.CLIQUE and not G.has_edge(a, b):
-                    return False
-                if kind is PartKind.INDEPENDENT and G.has_edge(a, b):
-                    return False
-        return True
-
 
 def crs_member(G: SimpleGraph, r: int, s: int) -> Optional[CrsWitness]:
     """Witness that G splits into s cliques and r-s independent sets, or None.
 
-    Parts may be empty.  Backtracking over vertex assignments; empty parts
-    of the same kind are interchangeable, so only the first empty part of
-    each kind is ever tried.  n <= 14.
+    Parts may be empty.  n <= 14.
     """
     if r < 1:
         raise ValidationError("r must be a positive integer")
@@ -426,7 +314,27 @@ def crs_member(G: SimpleGraph, r: int, s: int) -> Optional[CrsWitness]:
         raise ValidationError("s must satisfy 0 <= s <= r")
     if G.n > CRS_BUDGET:
         raise BudgetError(f"crs_member limited to n <= {CRS_BUDGET}")
+    return _partition(G, r, s)
 
+
+def chromatic_number(G: SimpleGraph) -> int:
+    """Exact chromatic number, n <= 16: the least r for which G splits
+    into r independent sets."""
+    if G.n > CHROMATIC_BUDGET:
+        raise BudgetError(f"chromatic_number limited to n <= {CHROMATIC_BUDGET}")
+    for r in range(1, G.n):
+        if _partition(G, r, 0) is not None:
+            return r
+    return G.n  # n singleton parts; 0 for the empty graph
+
+
+def _partition(G: SimpleGraph, r: int, s: int) -> Optional[CrsWitness]:
+    """The search behind ``crs_member`` and ``chromatic_number``.
+
+    Backtracking over vertex assignments, highest degree first; empty
+    parts of the same kind are interchangeable, so only the first empty
+    part of each kind is ever tried.
+    """
     adj = G.adjacency_masks()
     deg = G.degrees()
     order = sorted(range(G.n), key=lambda v: -deg[v])
@@ -473,7 +381,6 @@ def crs_member(G: SimpleGraph, r: int, s: int) -> Optional[CrsWitness]:
 # Canonical form and automorphisms
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=65536)
 def canonical_key(G: SimpleGraph) -> tuple:
     """Canonical edge list; invariant under relabeling, n <= 12.
 
@@ -586,10 +493,6 @@ def automorphism_count(G: SimpleGraph) -> int:
     return total
 
 
-def isomorphic(G: SimpleGraph, H: SimpleGraph) -> bool:
-    return G.n == H.n and canonical_key(G) == canonical_key(H)
-
-
 # ---------------------------------------------------------------------------
 # graph6 encoding (bit-exact per the published format, n <= 62)
 # ---------------------------------------------------------------------------
@@ -650,10 +553,6 @@ def from_graph6(text: str) -> SimpleGraph:
                 edges.append((i, j))
             k += 1
     return SimpleGraph.from_edges(n, edges)
-
-
-def write_graph6_lines(graphs: Iterable[SimpleGraph]) -> str:
-    return "".join(to_graph6(G) + "\n" for G in graphs)
 
 
 def load_family(path) -> ForbiddenFamily:

@@ -82,6 +82,13 @@ class CounterStream:
         return mix64((self.key + (counter + 1) * GAMMA) & MASK64)
 
     def uniform(self, counter: int) -> float:
+        """The design's uniform(counter), in [0, 1).
+
+        Public API although the library itself does not call it: it is
+        the scalar statement of the published formula for user code and
+        ports that read a stream; the sampler applies the same formula to
+        ``raw_block`` arrays.
+        """
         return (self.raw(counter) >> 11) * TWO_NEG_53
 
 
@@ -125,11 +132,6 @@ def raw_block(key: int, start: int, count: int) -> np.ndarray:
 def raw_with_keys(keys: np.ndarray, counter: int) -> np.ndarray:
     """raw(counter) for precomputed stream keys; bit-identical to raw."""
     return _mix64_np(keys + np.uint64(((counter + 1) * GAMMA) & MASK64))
-
-
-def raw_array(seed: int, streams: np.ndarray, counter: int) -> np.ndarray:
-    """raw(counter) for many streams at once; bit-identical to CounterStream."""
-    return raw_with_keys(stream_keys_array(seed, streams), counter)
 
 
 def _mix64_np(z: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ from graphlimitlab import (
     save_graphon,
     to_graph6,
 )
+from graphlimitlab import cli
 from graphlimitlab.cli import EXIT_BUDGET, EXIT_OK, EXIT_VALIDATION, main
 
 
@@ -119,6 +120,17 @@ def test_validation_exit_codes(workspace, capsys):
     empty_family.write_text("# nothing\n")
     assert main(["converge", "--family", str(empty_family), "--sizes", "5",
                  "--samples", "1"]) == EXIT_VALIDATION
+
+
+def test_converge_with_more_sizes_than_streams_exits_2(workspace, capsys,
+                                                       monkeypatch):
+    # refused while the config is built, before any sample is drawn
+    monkeypatch.setattr(cli, "run_convergence",
+                        lambda config: pytest.fail("converge ran"))
+    sizes = ",".join(str(n) for n in range(1, 1002))
+    assert main(["converge", "--family", str(workspace["k3"]), "--sizes", sizes,
+                 "--samples", "1"]) == EXIT_VALIDATION
+    assert capsys.readouterr().out == ""
 
 
 def test_budget_exit_code(workspace, capsys):

@@ -41,6 +41,13 @@ class TestConfig:
         with pytest.raises(ValidationError):
             ExperimentConfig(family=K3, sizes=(5, 6), samples=1001)
 
+    def test_sizes_cannot_spill_into_the_next_purpose_streams(self):
+        # the chain stream of size index 1000, sample 0 would be
+        # 1_000_000 + 1000 * 1000, the estimator stream of size index 0
+        ExperimentConfig(family=K3, sizes=range(1, 1001))
+        with pytest.raises(ValidationError):
+            ExperimentConfig(family=K3, sizes=range(1, 1002))
+
     def test_default_chain_parameters(self):
         config = ExperimentConfig(family=K3, sizes=(10,))
         npairs = 45

@@ -12,7 +12,6 @@ from graphlimitlab import (
     from_graph6,
     load_family,
     to_graph6,
-    write_graph6_lines,
 )
 
 
@@ -66,7 +65,8 @@ def test_strictness():
 def test_family_file_round_trip(tmp_path):
     path = tmp_path / "family.g6"
     graphs = [SimpleGraph.complete(3), SimpleGraph.cycle(5)]
-    path.write_text("# a comment line\n\n" + write_graph6_lines(graphs))
+    path.write_text("# a comment line\n\n"
+                    + "".join(to_graph6(G) + "\n" for G in graphs))
     fam = load_family(path)
     assert len(fam) == 2
     assert {G.n for G in fam} == {3, 5}

@@ -19,10 +19,10 @@ from graphlimitlab import (
     chromatic_number,
     coloring_number,
     contains_subgraph,
+    count_labeled,
     crs_member,
     graph_from_mask,
     is_family_free,
-    isomorphic,
 )
 from graphlimitlab.census import AnchoredOracle
 from graphlimitlab.graphs import PartKind
@@ -64,6 +64,37 @@ def brute_contains(G, F):
         if all(G.has_edge(images[a], images[b]) for a, b in F.edges):
             return True
     return False
+
+
+def valid_witness(witness, G, r, s):
+    """Oracle: every vertex lies in one part; parts 0..s-1 are cliques of
+    G and parts s..r-1 independent sets."""
+    assignment = witness.assignment
+    if set(assignment) != set(range(G.n)):
+        return False
+    for p, kind in assignment.values():
+        expected = PartKind.CLIQUE if p < s else PartKind.INDEPENDENT
+        if not 0 <= p < r or kind is not expected:
+            return False
+    return all(G.has_edge(a, b) == (assignment[a][1] is PartKind.CLIQUE)
+               for a, b in combinations(range(G.n), 2)
+               if assignment[a][0] == assignment[b][0])
+
+
+def grotzsch():
+    """Mycielski graph of C5: triangle-free, chromatic number 4."""
+    edges = [(i, (i + 1) % 5) for i in range(5)]
+    edges += [(5 + i, (i + d) % 5) for i in range(5) for d in (1, 4)]
+    edges += [(5 + i, 10) for i in range(5)]
+    return SimpleGraph.from_edges(11, edges)
+
+
+def clebsch():
+    """Folded 5-cube: 4-bit words adjacent when they differ in one bit or
+    in all four; 5-regular, triangle-free, chromatic number 4."""
+    return SimpleGraph.from_edges(16, [
+        (u, v) for u, v in combinations(range(16), 2)
+        if bin(u ^ v).count("1") in (1, 4)])
 
 
 def random_graph(n, p, rng):
@@ -209,6 +240,14 @@ class TestFamilies:
         fam = ForbiddenFamily([K3, relabeled, SimpleGraph.cycle(3)])
         assert len(fam) == 1
 
+    def test_members_differing_only_in_size_are_kept(self):
+        # every edgeless graph has the canonical key ()
+        fam = ForbiddenFamily([SimpleGraph.empty(2), SimpleGraph.empty(1)])
+        assert len(fam) == 2
+        assert fam.key() == ((1, ()), (2, ()))
+        # the single vertex is itself a copy of the forbidden empty(1)
+        assert count_labeled(fam, 1) == 0
+
     def test_closed_under_edge_deletion(self):
         fam = ForbiddenFamily([SimpleGraph.complete(3), SimpleGraph.cycle(5)])
         rng = random.Random(17)
@@ -234,6 +273,9 @@ class TestChromaticNumber:
         assert chromatic_number(SimpleGraph.empty(0)) == 0
         assert chromatic_number(SimpleGraph.petersen()) == 3
         assert chromatic_number(SimpleGraph.complete_bipartite(3, 4)) == 2
+        # clique number 2: the colour count comes from the search alone
+        assert chromatic_number(grotzsch()) == 4
+        assert chromatic_number(clebsch()) == 4
 
     def test_c5_needs_three_colors(self):
         C5 = SimpleGraph.cycle(5)
@@ -273,12 +315,12 @@ class TestCrsMember:
     def test_bipartite_in_c20(self):
         G = SimpleGraph.complete_bipartite(3, 3)
         witness = crs_member(G, 2, 0)
-        assert witness is not None and witness.verify(G, 2, 0)
+        assert witness is not None and valid_witness(witness, G, 2, 0)
 
     def test_k5_is_one_clique(self):
         G = SimpleGraph.complete(5)
         witness = crs_member(G, 1, 1)
-        assert witness is not None and witness.verify(G, 1, 1)
+        assert witness is not None and valid_witness(witness, G, 1, 1)
         assert all(kind is PartKind.CLIQUE for _, kind in witness.assignment.values())
 
     def test_c5_not_in_c21(self):
@@ -300,7 +342,9 @@ class TestCrsMember:
             G = random_graph(rng.randint(1, 8), rng.random(), rng)
             chi = chromatic_number(G)
             for r in range(1, 5):
-                assert (crs_member(G, r, 0) is not None) == (chi <= r)
+                witness = crs_member(G, r, 0)
+                assert (witness is not None) == (chi <= r)
+                assert witness is None or valid_witness(witness, G, r, 0)
 
     def test_validation_and_budget(self):
         with pytest.raises(ValidationError):
@@ -324,10 +368,10 @@ class TestCanonicalForm:
     def test_distinguishes_nonisomorphic(self):
         assert canonical_key(SimpleGraph.complete(3)) != canonical_key(
             SimpleGraph.path(3))
-        assert not isomorphic(SimpleGraph.cycle(6),
-                              SimpleGraph.complete_bipartite(3, 3))
-        assert isomorphic(SimpleGraph.cycle(4),
-                          SimpleGraph.complete_bipartite(2, 2))
+        assert canonical_key(SimpleGraph.cycle(6)) != canonical_key(
+            SimpleGraph.complete_bipartite(3, 3))
+        assert canonical_key(SimpleGraph.cycle(4)) == canonical_key(
+            SimpleGraph.complete_bipartite(2, 2))
 
     def test_automorphism_counts(self):
         assert automorphism_count(SimpleGraph.cycle(5)) == 10
