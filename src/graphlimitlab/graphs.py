@@ -385,10 +385,16 @@ def canonical_key(G: SimpleGraph) -> tuple:
     """Canonical edge list; invariant under relabeling, n <= 12.
 
     The canonical labeling minimizes the adjacency bit string read off
-    level by level (each new vertex contributes its adjacency bits to the
-    already-ordered prefix).  Vertices whose swap is an automorphism
+    level by level: the vertex at position t contributes the t-bit code
+    of its adjacency to positions 0..t-1, first position first, and the
+    key is the edge list of the order whose tuple of level codes is
+    lexicographically least.  Vertices whose swap is an automorphism
     ("twins") are collapsed at every branch point, which keeps highly
     symmetric graphs cheap.
+
+    Each search node hands its children the code of every unused vertex
+    to the prefix so far; placing v at position t extends each of those
+    codes by one bit, the vertex's adjacency to v, so no code is rebuilt.
     """
     if G.n > CANONICAL_BUDGET:
         raise BudgetError(f"canonical_key limited to n <= {CANONICAL_BUDGET}")
@@ -397,43 +403,35 @@ def canonical_key(G: SimpleGraph) -> tuple:
         return ()
     adj = G.adjacency_masks()
 
-    # twin[u][v]: exchanging u and v is an automorphism
-    twin = [[False] * n for _ in range(n)]
-    for u in range(n):
-        for v in range(u + 1, n):
-            strip = ~((1 << u) | (1 << v))
-            if adj[u] & strip == adj[v] & strip:
-                twin[u][v] = twin[v][u] = True
+    # twins[u]: mask of the vertices v for which exchanging u and v is an
+    # automorphism
+    twins = [0] * n
+    for u, v in combinations(range(n), 2):
+        strip = ~((1 << u) | (1 << v))
+        if adj[u] & strip == adj[v] & strip:
+            twins[u] |= 1 << v
+            twins[v] |= 1 << u
 
     best = None
-    cur = [0] * n  # cur[t] = adjacency bits of vertex at position t to prefix
-    order = [0] * n
-    used = 0
+    cur = [0] * n  # cur[t] = level code of the vertex at position t
 
-    def level_code(v: int, t: int) -> int:
-        code = 0
-        for p in range(t):
-            code = (code << 1) | (adj[v] >> order[p] & 1)
-        return code
-
-    def rec(t: int, free: bool) -> bool:
-        # entry invariant: free means cur[:t] undercuts best (or best unset);
-        # otherwise cur[:t] == best[:t].  Returns True iff best was replaced.
-        nonlocal best, used
+    def rec(t: int, candidates: list, free: bool) -> bool:
+        # candidates: sorted (code, v) of the unused vertices, code to the
+        # prefix.  Entry invariant: free means cur[:t] undercuts best (or
+        # best unset); otherwise cur[:t] == best[:t].  Returns True iff
+        # best was replaced.
+        nonlocal best
         if t == n:
             if free:
                 best = list(cur)
                 return True
             return False
-        candidates = sorted(
-            (level_code(v, t), v) for v in range(n) if not used >> v & 1
-        )
-        tried = []
+        tried = 0
         updated = False
         for code, v in candidates:
-            if any(twin[v][u] for u in tried):
+            if twins[v] & tried:
                 continue
-            tried.append(v)
+            tried |= 1 << v
             if not free:
                 if code > best[t]:
                     break  # sorted candidates: the rest are worse too
@@ -441,16 +439,17 @@ def canonical_key(G: SimpleGraph) -> tuple:
             else:
                 child_free = True
             cur[t] = code
-            order[t] = v
-            used |= 1 << v
-            if rec(t + 1, child_free):
+            row = adj[v]
+            children = [(c << 1 | row >> u & 1, u)
+                        for c, u in candidates if u != v]
+            children.sort()
+            if rec(t + 1, children, child_free):
                 # the new best shares our prefix, so this node is tight now
                 updated = True
                 free = False
-            used &= ~(1 << v)
         return updated
 
-    rec(0, True)
+    rec(0, [(0, v) for v in range(n)], True)
 
     edges = []
     for t in range(1, n):

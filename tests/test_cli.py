@@ -1,5 +1,6 @@
 """CLI surface: subcommands, option merging, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -67,6 +68,27 @@ def test_sample_emits_valid_graph6(workspace, capsys):
     assert len(lines) == 4
     for line in lines:
         assert from_graph6(line).n == 9
+
+
+@pytest.mark.parametrize("pattern, sizes, lines, digest", [
+    (SimpleGraph.complete(3), "3,4,5,6,7,8", 579,
+     "58ae92677ea840947934037b71cda5fff9a722f3f4277c9966888cd1f6023801"),
+    (SimpleGraph.cycle(5), "3,4,5,6,7", 372,
+     "0dc004b9675fc1a1072f752402ed156e37fa234e6437570efaa320a46f1e2c7c"),
+], ids=["K3", "C5"])
+def test_dump_pins_the_census_representatives(tmp_path, capsys, pattern,
+                                              sizes, lines, digest):
+    # the dump fixes which extension represents each class, in which order
+    # and with which labelling; the digests are of the reference dumps
+    family = tmp_path / "family.g6"
+    family.write_text(to_graph6(pattern) + "\n")
+    dump = tmp_path / "reps.g6"
+    code = main(["speed", "--family", str(family), "--sizes", sizes,
+                 "--dump", str(dump)])
+    assert code == EXIT_OK
+    capsys.readouterr()
+    assert len(dump.read_text().splitlines()) == lines
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == digest
 
 
 def test_converge_roundtrip(workspace, capsys):

@@ -2,8 +2,10 @@
 
 import math
 import random
+from collections import Counter
 from itertools import combinations, permutations
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -54,6 +56,45 @@ def small_graphs(draw):
     return SimpleGraph.from_edges(
         n, [(i, j) for i, j in pairs
             if tuple(sorted((classes[i], classes[j]))) in pattern])
+
+
+def brute_canonical_key(G):
+    """Oracle: the key by its definition.  Over all n! vertex orders take
+    the least tuple of level codes, where code t holds the t adjacency bits
+    of the vertex at position t to positions 0..t-1, first position first;
+    then read the edge list back from it."""
+    adj = G.adjacency_masks()
+    best = min(
+        tuple(sum((adj[order[t]] >> order[p] & 1) << (t - 1 - p)
+                  for p in range(t))
+              for t in range(G.n))
+        for order in permutations(range(G.n)))
+    return tuple(sorted((p, t) for t in range(G.n) for p in range(t)
+                        if best[t] >> (t - 1 - p) & 1))
+
+
+def switch_edges(G, times, rng):
+    """Up to `times` random switches ab, cd -> ad, cb, each made only when
+    it keeps the graph simple, so the degrees never change."""
+    edges = set(G.edges)
+    for _ in range(times):
+        if len(edges) < 2:
+            break
+        (a, b), (c, d) = rng.sample(sorted(edges), 2)
+        if rng.random() < 0.5:
+            c, d = d, c
+        new = {(min(a, d), max(a, d)), (min(c, b), max(c, b))}
+        if len({a, b, c, d}) == 4 and not new & edges:
+            edges -= {(a, b), (min(c, d), max(c, d))}
+            edges |= new
+    return SimpleGraph(G.n, frozenset(edges))
+
+
+def to_networkx(G):
+    graph = nx.Graph()
+    graph.add_nodes_from(range(G.n))
+    graph.add_edges_from(G.edges)
+    return graph
 
 
 def brute_contains(G, F):
@@ -394,6 +435,37 @@ class TestCanonicalForm:
         H = G.relabeled(list(perm))
         assert canonical_key(H) == canonical_key(G)
         assert automorphism_count(H) == automorphism_count(G)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(small_graphs())
+    def test_equals_the_definition(self, G):
+        assert canonical_key(G) == brute_canonical_key(G)
+
+    def test_separates_exactly_the_isomorphism_classes(self):
+        # pairs with equal degree sequences: edge switches of random graphs
+        # (relabelled, so that the identity labelling is not favoured) and
+        # independent random regular graphs
+        rng = random.Random(20140)
+        pairs = []
+        for _ in range(200):
+            n = rng.randint(4, 10)
+            G = random_graph(n, rng.uniform(0.2, 0.8), rng)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            pairs.append((G, switch_edges(G, rng.randint(0, 2), rng)
+                          .relabeled(perm)))
+        for seed in range(100):
+            n, d = rng.choice([(8, 3), (10, 3), (9, 4), (10, 4)])
+            G, H = (SimpleGraph.from_edges(n, nx.random_regular_graph(
+                d, n, seed=2 * seed + i).edges()) for i in (0, 1))
+            pairs.append((G, H))
+        outcomes = Counter()
+        for G, H in pairs:
+            assert sorted(G.degrees()) == sorted(H.degrees())
+            isomorphic = nx.is_isomorphic(to_networkx(G), to_networkx(H))
+            assert (canonical_key(G) == canonical_key(H)) == isomorphic
+            outcomes[isomorphic] += 1
+        assert min(outcomes[True], outcomes[False]) >= 50
 
     def test_canonical_form_returns_both(self):
         C5 = SimpleGraph.cycle(5)
