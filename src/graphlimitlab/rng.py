@@ -22,6 +22,7 @@ uint64 vector arithmetic and are bit-identical to ``raw``:
                                    of the one stream with this key
     raw_with_keys(keys, counter) = raw(counter) of many streams at once
 
+Each returns a new array and leaves the caller's arrays as they were.
 ``raw_block`` lets a consumer that reads a run of consecutive counters
 (the Metropolis chain, the W-random sampler's pair uniforms) draw them
 with one numpy call instead of one Python call per counter.
@@ -135,6 +136,11 @@ def raw_with_keys(keys: np.ndarray, counter: int) -> np.ndarray:
 
 
 def _mix64_np(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_M1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_M2)
-    return z ^ (z >> np.uint64(31))
+    """mix64 of each element, computed in place: every caller hands it a
+    fresh array, so no input of the public functions is overwritten."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_M1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_M2)
+    z ^= z >> np.uint64(31)
+    return z

@@ -228,6 +228,25 @@ BOUNDARY_STEPS = (0, 1, _CHAIN_BLOCK - 1, _CHAIN_BLOCK, _CHAIN_BLOCK + 1,
                   2 * _CHAIN_BLOCK + 1)
 
 
+def assert_ensemble_matches_runner(fam, n, steps, chains, seed):
+    """The ensemble's finals and pooled occupation equal those of
+    ``mcmc_trace`` run on each chain's stream alone."""
+    finals, occupation = mcmc_ensemble(fam, n, steps, seed, chains,
+                                       collect_occupation=True)
+    pairs = all_pairs(n)
+    expected = Counter()
+    for c in range(chains):
+        # the state after every step, from the single-chain runner
+        trace = mcmc_trace(fam, n, range(steps + 1),
+                           seed.with_stream(seed.stream + c))
+        assert trace[-1] == graph_from_mask(n, int(finals[c]), pairs)
+        expected.update(trace[1:])
+    assert occupation.sum() == chains * steps
+    assert expected == {
+        graph_from_mask(n, mask, pairs): int(occupation[mask])
+        for mask in np.flatnonzero(occupation).tolist()}
+
+
 class TestMcmc:
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(st.sampled_from(sorted(CHAIN_MEMBERS)), st.integers(2, 12),
@@ -282,26 +301,36 @@ class TestMcmc:
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(st.lists(st.sampled_from(sorted(CHAIN_MEMBERS)), min_size=1,
                     max_size=2, unique=True),
-           st.integers(2, 5), st.integers(0, 200), st.integers(1, 4),
+           st.integers(1, 5), st.integers(0, 200), st.integers(1, 4),
            st.integers(0, 2**64 - 1), st.integers(0, 1000))
     def test_ensemble_matches_single_chain_runner(self, names, n, steps,
                                                   chains, seed, stream):
         fam = ForbiddenFamily([CHAIN_MEMBERS[name] for name in names])
+        assert_ensemble_matches_runner(fam, n, steps, chains,
+                                       SampleSeed(seed, stream))
+
+    @settings(derandomize=True, max_examples=8, deadline=None)
+    @given(st.sampled_from(sorted(CHAIN_MEMBERS)), st.integers(0, 400),
+           st.integers(1, 3), st.integers(0, 2**64 - 1),
+           st.integers(0, 1000))
+    def test_ensemble_matches_single_chain_runner_at_n6(self, name, steps,
+                                                        chains, seed, stream):
+        # 15 pairs: the largest transition table, 2^15 states
+        fam = ForbiddenFamily([CHAIN_MEMBERS[name]])
+        assert_ensemble_matches_runner(fam, 6, steps, chains,
+                                       SampleSeed(seed, stream))
+
+    def test_ensemble_without_vertices_rejected(self):
+        with pytest.raises(ValidationError, match="need at least one vertex"):
+            mcmc_ensemble(K3, 0, 10, SampleSeed(0), chains=3)
+
+    def test_ensemble_on_one_vertex_stays_edgeless(self):
         finals, occupation = mcmc_ensemble(
-            fam, n, steps, SampleSeed(seed, stream), chains,
-            collect_occupation=True)
-        pairs = all_pairs(n)
-        expected = Counter()
-        for c in range(chains):
-            # the state after every step, from the single-chain runner
-            trace = mcmc_trace(fam, n, range(steps + 1),
-                               SampleSeed(seed, stream + c))
-            assert trace[-1] == graph_from_mask(n, int(finals[c]), pairs)
-            expected.update(trace[1:])
-        assert occupation.sum() == chains * steps
-        assert expected == {
-            graph_from_mask(n, mask, pairs): int(occupation[mask])
-            for mask in np.flatnonzero(occupation).tolist()}
+            K3, 1, 25, SampleSeed(4, 2), chains=3, collect_occupation=True)
+        assert finals.dtype == np.uint64 and finals.tolist() == [0, 0, 0]
+        assert occupation.dtype == np.int64 and occupation.tolist() == [75]
+        finals, occupation = mcmc_ensemble(K3, 1, 25, SampleSeed(4), 2)
+        assert finals.tolist() == [0, 0] and occupation is None
 
     def test_final_state_distribution_uniform_at_n4(self):
         # 41 labeled triangle-free graphs on 4 vertices; enough independent

@@ -63,6 +63,25 @@ def test_numpy_path_bit_identical():
             assert int(vector[stream]) == scalar
 
 
+def test_numpy_path_leaves_its_inputs_alone():
+    # the vector mix works in place; it must only ever overwrite arrays
+    # the rng made itself, never the caller's streams or keys
+    streams = np.arange(5, 12, dtype=np.uint64)
+    keys = stream_keys_array(42, streams)
+    assert streams.tolist() == list(range(5, 12))
+    saved = keys.copy()
+    draws = raw_with_keys(keys, 3)
+    assert np.array_equal(keys, saved)
+    block = raw_block(int(keys[0]), 0, 4)
+    raw_block(int(keys[0]), 0, 4)  # must not reuse block's storage
+    for i, stream in enumerate(range(5, 12)):
+        scalar = CounterStream(SampleSeed(42, stream))
+        assert int(keys[i]) == scalar.key
+        assert int(draws[i]) == scalar.raw(3)
+    assert block.tolist() == [CounterStream(SampleSeed(42, 5)).raw(c)
+                              for c in range(4)]
+
+
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(st.integers(0, MASK64), st.integers(0, 1 << 20),
        st.integers(0, 1 << 40), st.integers(0, 300))
